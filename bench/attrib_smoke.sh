@@ -42,7 +42,7 @@ for src in examples/src/scan.c examples/src/histogram.c; do
   [ -s "$attrib" ] || fail "$name: attribution report missing or empty"
   require_key "$attrib" spt-attrib-v1
   for key in domains totals coverage gap iter_latency_s overhead_fraction \
-    compile dispatch chunk fork validate commit rollback idle engine \
+    compile dispatch chunk fork validate commit rollback idle \
     predicted_speedup measured_speedup p50 p95 p99; do
     require_key "$attrib" "$key"
   done

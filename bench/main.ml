@@ -32,14 +32,11 @@ let json_path =
       (Option.value ~default:(Sys.getcwd ()) (repo_root ()))
       "BENCH_results.json"
 
-(* SPT_BENCH_ONLY=engines runs just the sequential engine comparison
-   (what bench/engine_smoke.sh consumes) and still writes the JSON
-   summary — the full evaluation takes minutes, the comparison seconds.
-   SPT_BENCH_ONLY=profdb likewise runs just the profile-database
-   generations scenario (what bench/profdb_smoke.sh consumes), grafting
-   its section into an existing summary when one is present. *)
+(* SPT_BENCH_ONLY=profdb runs just the profile-database generations
+   scenario (what bench/profdb_smoke.sh consumes) — the full evaluation
+   takes minutes — grafting its section into an existing summary when
+   one is present. *)
 let bench_only = Sys.getenv_opt "SPT_BENCH_ONLY"
-let engines_only = bench_only = Some "engines"
 let profdb_only = bench_only = Some "profdb"
 
 (* SPT_BENCH_ONLY=depth runs just the K-deep pipelining sweep (what
@@ -146,9 +143,6 @@ let measure_parallel best =
             [
               ("workload", Spt_obs.Json.Str name);
               ("jobs", Spt_obs.Json.Int pr.Pipeline.pr_jobs);
-              ( "engine",
-                Spt_obs.Json.Str
-                  (Spt_exec.Engine.string_of_kind pr.Pipeline.pr_engine) );
               ( "chunk",
                 match pr.Pipeline.pr_chunk with
                 | Some n -> Spt_obs.Json.Int n
@@ -166,57 +160,6 @@ let measure_parallel best =
   in
   Spt_util.Table.print t;
   (List.map fst rows, List.map snd rows)
-
-(* ------------------------------------------------------------------ *)
-(* Sequential engines: the same lowered program executed to completion
-   on the tree-walking interpreter and on the flat-bytecode engine.
-   The bytecode engine must win on every workload — the claim
-   bench/engine_smoke.sh enforces in CI. *)
-
-let engine_comparison () =
-  section "Sequential engines: tree-walking vs flat bytecode";
-  let t =
-    Spt_util.Table.create
-      ~aligns:
-        [
-          Spt_util.Table.Left; Spt_util.Table.Right; Spt_util.Table.Right;
-          Spt_util.Table.Right;
-        ]
-      [ "program"; "tree"; "bytecode"; "speedup" ]
-  in
-  let rows =
-    List.map
-      (fun w ->
-        let name = w.Spt_workloads.Suite.name in
-        let prog = Pipeline.front_end w.Spt_workloads.Suite.source in
-        (* best of two runs each, interleaved, to shave scheduler noise
-           off the smoke test's strict per-workload assertion *)
-        let time f =
-          let once () =
-            let t0 = Unix.gettimeofday () in
-            ignore (f ());
-            Unix.gettimeofday () -. t0
-          in
-          let a = once () in
-          min a (once ())
-        in
-        let tree_s = time (fun () -> Spt_interp.Interp.run prog) in
-        let bytecode_s = time (fun () -> Spt_exec.Engine.run prog) in
-        Spt_util.Table.add_row t
-          [
-            name;
-            Printf.sprintf "%.3fs" tree_s;
-            Printf.sprintf "%.3fs" bytecode_s;
-            Printf.sprintf "%.2fx" (tree_s /. bytecode_s);
-          ];
-        Report.engine_row ~workload:name ~tree_s ~bytecode_s)
-      workloads
-  in
-  Spt_util.Table.print t;
-  print_endline
-    "(identical program, store and step accounting; the bytecode engine\n\
-     compiles once then dispatches over a flat instruction array)";
-  rows
 
 (* ------------------------------------------------------------------ *)
 (* Feedback: the static cost model's predicted misspeculation next to
@@ -524,8 +467,8 @@ let depth_sweep () =
        parallel_jobs);
   let module R = Spt_runtime.Runtime in
   let runtime_config = { (R.default_config ()) with R.oracle = false } in
-  (* best of two runs per depth, like the engine comparison, to shave
-     scheduler noise off the smoke test's depth-4 >= depth-1 assertion *)
+  (* best of two runs per depth, to shave scheduler noise off the smoke
+     test's depth-4 >= depth-1 assertion *)
   let run ?depth src =
     let once () =
       Pipeline.run_parallel ~jobs:parallel_jobs ?depth ~runtime_config src
@@ -854,13 +797,6 @@ let microbench () =
 let () =
   (* the counter dump in the JSON summary needs the registry live *)
   Spt_obs.Metrics.set_enabled true;
-  if engines_only then begin
-    let engines = engine_comparison () in
-    Spt_obs.Json.to_file json_path
-      (Report.bench_json ~quick:true ~engines ~per_config:[] ~parallel:[] ());
-    Printf.printf "\nmachine-readable summary written to %s\n" json_path;
-    exit 0
-  end;
   if profdb_only then begin
     let profdb = profdb_generations () in
     (* graft the section into an existing summary (the committed
@@ -901,7 +837,6 @@ let () =
   let per_config = evaluate_all () in
   let best = List.assoc "best" per_config in
   let parallel, gap = measure_parallel best in
-  let engines = engine_comparison () in
   let feedback = feedback_comparison () in
   let profdb = profdb_generations () in
   let depth = depth_sweep () in
@@ -909,8 +844,8 @@ let () =
   (* machine-readable summary next to the text tables, one entry per
      configuration; counters are cumulative over the whole run *)
   Spt_obs.Json.to_file json_path
-    (Report.bench_json ~quick ~per_config ~parallel ~gap ~feedback ~engines
-       ~depth ~profdb ());
+    (Report.bench_json ~quick ~per_config ~parallel ~gap ~feedback ~depth
+       ~profdb ());
   Printf.printf "\nmachine-readable summary written to %s\n" json_path;
 
   section

@@ -69,20 +69,9 @@ let config_arg =
         ~doc:"Compiler configuration: basic, best or anticipated")
 
 (* ------------------------------------------------------------------ *)
-(* Execution-engine flags: --engine, --chunk.  Validated manually
+(* Speculative-run flags: --chunk, --depth.  Validated manually
    (stderr + exit 2) so bad values report like the other usage
    errors. *)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine for real (non-simulated) runs: $(b,bytecode) \
-           (flat bytecode compiled once per run, the default) or $(b,tree) \
-           (the tree-walking reference interpreter).  Part of the \
-           artifact-cache key.")
 
 let chunk_arg =
   Arg.(
@@ -93,17 +82,6 @@ let chunk_arg =
           "With $(b,--parallel): iterations each speculative fork covers \
            (default: auto-sized from the cost model's per-iteration \
            estimate)")
-
-(* resolve --engine into the compiler configuration (it is part of the
-   cache key, like every other config field) *)
-let resolve_engine config = function
-  | None -> config
-  | Some s -> (
-    match Spt_exec.Engine.kind_of_string s with
-    | Ok k -> { config with Spt_driver.Config.engine = k }
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      exit 2)
 
 let validate_chunk = function
   | Some n when n <= 0 ->
@@ -123,9 +101,9 @@ let depth_arg =
            the selector's misspeculation pricing and is part of the \
            artifact-cache key.")
 
-(* resolve --depth into the compiler configuration: like --engine it is
-   part of the cache key, and a forced depth also changes the
-   selector's misspeculation pricing *)
+(* resolve --depth into the compiler configuration: it is part of the
+   cache key, like every other config field, and a forced depth also
+   changes the selector's misspeculation pricing *)
 let resolve_depth config = function
   | None -> config
   | Some k when k <= 0 ->
@@ -320,11 +298,10 @@ let run_cmd =
              the run's misspeculation telemetry is ingested back \
              afterwards, so repeated runs keep getting better")
   in
-  let run file parallel jobs config engine chunk depth profile_in cache_dir
+  let run file parallel jobs config chunk depth profile_in cache_dir
       feedback_out attrib trace metrics log_level =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
-        let config = resolve_engine config engine in
         let chunk = validate_chunk chunk in
         if (not parallel) && depth <> None then begin
           Format.eprintf "error: --depth requires --parallel@.";
@@ -349,12 +326,7 @@ let run_cmd =
         end;
         if not parallel then begin
           let src = read_file file in
-          let r =
-            match config.Spt_driver.Config.engine with
-            | Spt_exec.Engine.Tree -> Spt_interp.Interp.run_source src
-            | Spt_exec.Engine.Bytecode ->
-              Spt_exec.Engine.run (Spt_driver.Pipeline.front_end src)
-          in
+          let r = Spt_exec.Engine.run (Spt_driver.Pipeline.front_end src) in
           print_string r.Spt_interp.Interp.output;
           Format.printf "; %d instructions executed@."
             r.Spt_interp.Interp.dynamic_instrs;
@@ -488,7 +460,7 @@ let run_cmd =
          "Interpret a MiniC program, or execute it speculatively in parallel")
     Term.(
       const run $ file_arg $ parallel_flag $ jobs_arg $ config_arg
-      $ engine_arg $ chunk_arg $ depth_arg $ profile_in_arg $ cache_dir_arg
+      $ chunk_arg $ depth_arg $ profile_in_arg $ cache_dir_arg
       $ feedback_out_arg $ attrib_arg $ trace_arg $ metrics_arg
       $ log_level_arg)
 
@@ -538,11 +510,10 @@ let loops_cmd =
     Term.(const show $ file_arg $ config_arg)
 
 let compile_cmd =
-  let compile file config engine depth profile_in cache_dir no_cache
+  let compile file config depth profile_in cache_dir no_cache
       profdb_max_entries trace metrics log_level =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
-        let config = resolve_engine config engine in
         let config = resolve_depth config depth in
         (* --trace wants the real per-phase spans, which a warm hit
            would skip entirely — tracing always recompiles *)
@@ -566,7 +537,7 @@ let compile_cmd =
           results come from the artifact cache; a fingerprint warmed in the \
           profile database gets a guided compile automatically)")
     Term.(
-      const compile $ file_arg $ config_arg $ engine_arg $ depth_arg
+      const compile $ file_arg $ config_arg $ depth_arg
       $ profile_in_arg $ cache_dir_arg $ no_cache_arg
       $ profdb_max_entries_arg $ trace_arg $ metrics_arg $ log_level_arg)
 
@@ -578,11 +549,10 @@ let workload_cmd =
       & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
       & info [] ~docv:"NAME" ~doc:"Workload name (bzip2, crafty, ...)")
   in
-  let run name config engine depth profile_in cache_dir no_cache
+  let run name config depth profile_in cache_dir no_cache
       profdb_max_entries trace metrics log_level =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
-        let config = resolve_engine config engine in
         let config = resolve_depth config depth in
         let cache =
           if trace <> None then Spt_service.Artifact_cache.no_cache ()
@@ -604,7 +574,7 @@ let workload_cmd =
   Cmd.v
     (Cmd.info "workload" ~version ~doc:"Evaluate a built-in SPEC2000Int-like workload")
     Term.(
-      const run $ name_arg $ config_arg $ engine_arg $ depth_arg
+      const run $ name_arg $ config_arg $ depth_arg
       $ profile_in_arg $ cache_dir_arg $ no_cache_arg
       $ profdb_max_entries_arg $ trace_arg $ metrics_arg $ log_level_arg)
 
@@ -671,12 +641,11 @@ let batch_cmd =
     | Spt_service.Batch.Timed_out ->
       Json.Obj [ ("file", Json.Str file); ("status", Json.Str "timed_out") ]
   in
-  let run files config engine depth profile_in cache_dir no_cache
+  let run files config depth profile_in cache_dir no_cache
       profdb_max_entries jobs timeout_s summary cluster trace metrics
       log_level =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
-        let config = resolve_engine config engine in
         let config = resolve_depth config depth in
         let cache = make_cache ~cache_dir ~no_cache () in
         (* one shared load: seeding only reads the store's tables, so
@@ -819,7 +788,7 @@ let batch_cmd =
          "Compile many programs concurrently through the artifact cache; \
           exits 1 if any file fails or times out")
     Term.(
-      const run $ files_arg $ config_arg $ engine_arg $ depth_arg
+      const run $ files_arg $ config_arg $ depth_arg
       $ profile_in_arg $ cache_dir_arg $ no_cache_arg
       $ profdb_max_entries_arg $ jobs_arg $ timeout_arg $ summary_arg
       $ cluster_arg $ trace_arg $ metrics_arg $ log_level_arg)
@@ -882,25 +851,15 @@ let serve_cmd =
             "Per-request budget; an overdue request gets a $(b,timeout) \
              error reply (default: no timeout)")
   in
-  let run engine cache_dir no_cache max_bytes max_entries profdb_max_entries
-      jobs queue_max timeout_s log_level =
+  let run cache_dir no_cache max_bytes max_entries profdb_max_entries jobs
+      queue_max timeout_s log_level =
     handle_errors (fun () ->
         Option.iter Spt_obs.Log.set_level log_level;
-        let engine =
-          Option.map
-            (fun s ->
-              match Spt_exec.Engine.kind_of_string s with
-              | Ok k -> k
-              | Error msg ->
-                Format.eprintf "error: %s@." msg;
-                exit 2)
-            engine
-        in
         let cache = make_cache ?max_bytes ?max_entries ~cache_dir ~no_cache () in
         let profdb = make_profdb ?max_entries:profdb_max_entries cache in
         let t =
-          Spt_service.Server.create ~cache ~profdb ?engine ~jobs ~queue_max
-            ?timeout_s ()
+          Spt_service.Server.create ~cache ~profdb ~jobs ~queue_max ?timeout_s
+            ()
         in
         Spt_service.Server.serve t stdin stdout)
   in
@@ -912,7 +871,7 @@ let serve_cmd =
           concurrently on a domain pool with backpressure, per-request \
           timeouts and single-flight coalescing")
     Term.(
-      const run $ engine_arg $ cache_dir_arg $ no_cache_arg
+      const run $ cache_dir_arg $ no_cache_arg
       $ cache_max_bytes_arg $ cache_max_entries_arg $ profdb_max_entries_arg
       $ jobs_arg $ queue_max_arg $ timeout_arg $ log_level_arg)
 
@@ -945,9 +904,9 @@ let loadtest_cmd =
       & info [ "blend" ] ~docv:"SPEC"
           ~doc:
             "Request mix as KIND=WEIGHT pairs, e.g. \
-             $(b,warm=7,cold=1,guided=1,engine=1); kinds are cold (unique \
-             source, cache miss), warm (fixed family, cache hit), guided \
-             (profile-directed) and engine (tree-walking engine)")
+             $(b,warm=7,cold=1,guided=1); kinds are cold (unique source, \
+             cache miss), warm (fixed family, cache hit) and guided \
+             (profile-directed)")
   in
   let seed_arg =
     Arg.(

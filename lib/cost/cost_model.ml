@@ -273,16 +273,6 @@ let predicted_fraction ~cost ~body_size = cost /. Float.max 1.0 body_size
 
 let depth_candidates = [ 1; 2; 4; 8 ]
 
-(* Mirrors the runtime's chunk auto-size (~2048 dynamic ops per chunk,
-   clamped to [1, 256]; 16 when the body estimate is unknown) so the
-   compile-time depth choice prices the same chunks the runtime forks.
-   Deliberately independent of the worker count: a baked-in record must
-   not depend on SPT_JOBS (the artifact cache key does not carry it);
-   the runtime caps the effective depth at its window instead. *)
-let auto_chunk ~body_size =
-  if body_size <= 0.0 then 16
-  else max 1 (min 256 (int_of_float (2048.0 /. Float.max 1.0 body_size)))
-
 let chunk_violation_prob ~iter_prob ~chunk =
   let p = Float.max 0.0 (Float.min 1.0 iter_prob) in
   1.0 -. ((1.0 -. p) ** float_of_int (max 1 chunk))
@@ -300,8 +290,10 @@ let depth_cost ~chunk_prob ~depth =
   let k = max 1 depth in
   (1.0 /. float_of_int k) +. (chunk_prob *. cascade_factor ~depth:k)
 
-let pick_depth ~cost ~body_size =
-  let chunk = auto_chunk ~body_size in
+(* Deliberately independent of the worker count: a baked-in record must
+   not depend on SPT_JOBS (the artifact cache key does not carry it);
+   the runtime caps the effective depth at its window instead. *)
+let pick_depth ~cost ~body_size ~chunk =
   let p_chunk =
     chunk_violation_prob ~iter_prob:(predicted_fraction ~cost ~body_size) ~chunk
   in

@@ -90,11 +90,6 @@ val predicted_fraction : cost:float -> body_size:float -> float
 (** The speculation depths the compile-time chooser considers. *)
 val depth_candidates : int list
 
-(** The runtime's chunk auto-size replicated at compile time (~2048
-    dynamic ops per chunk clamped to [1, 256]; 16 when [body_size] is
-    unknown), so depth pricing sees the chunks the runtime will fork. *)
-val auto_chunk : body_size:float -> int
-
 (** Probability at least one of [chunk] iterations violates, given the
     per-iteration misspeculation probability [iter_prob]. *)
 val chunk_violation_prob : iter_prob:float -> chunk:int -> float
@@ -110,11 +105,13 @@ val cascade_factor : depth:int -> float
 val depth_cost : chunk_prob:float -> depth:int -> float
 
 (** The depth minimizing {!depth_cost} for a loop with optimal
-    misspeculation cost [cost] and dynamic body size [body_size] —
-    K-deep pipelining priced per region (smallest depth wins ties).
-    Independent of the worker count; the runtime caps the effective
-    depth at its in-flight window. *)
-val pick_depth : cost:float -> body_size:float -> int
+    misspeculation cost [cost], dynamic body size [body_size] and
+    [chunk] iterations per speculative fork (the caller passes the
+    runtime's chunk size, so depth pricing sees the chunks the runtime
+    will fork) — K-deep pipelining priced per region (smallest depth
+    wins ties).  Independent of the worker count; the runtime caps the
+    effective depth at its in-flight window. *)
+val pick_depth : cost:float -> body_size:float -> chunk:int -> int
 
 (** Render the cost graph as Graphviz DOT (Fig. 6 style). *)
 val to_dot : t -> string

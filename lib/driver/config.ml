@@ -29,9 +29,6 @@ type t = {
   static_mem_prob : float;
   include_control : bool;
   sim : Spt_tlsim.Tls_machine.config;
-  engine : Spt_exec.Engine.kind;
-      (** execution engine for real (non-simulated) runs: the tree
-          interpreter or the flat bytecode engine *)
   depth : int option;
       (** forced speculation depth (chunks in flight per loop).  [None]
           lets the cost model pick a depth per region
@@ -54,7 +51,6 @@ let basic =
     static_mem_prob = 1.0;
     include_control = true;
     sim = Spt_tlsim.Tls_machine.default_config;
-    engine = Spt_exec.Engine.Bytecode;
     depth = None;
   }
 

@@ -17,9 +17,6 @@ type t = {
   static_mem_prob : float;
   include_control : bool;
   sim : Spt_tlsim.Tls_machine.config;
-  engine : Spt_exec.Engine.kind;
-      (** execution engine for real (non-simulated) runs — part of the
-          cache key like every other field *)
   depth : int option;
       (** forced speculation depth (chunks in flight per loop); [None]
           lets the cost model price and pick a depth per region.

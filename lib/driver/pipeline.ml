@@ -698,6 +698,7 @@ let compile_spt ?profile_seed ?(observations = [])
           match (decision, cost) with
           | Selected, Some cst ->
             Cost_model.pick_depth ~cost:cst ~body_size:c.c_body_size
+              ~chunk:(Spt_runtime.Runtime.auto_chunk c.c_body_size)
           | _ -> 0));
     }
   in
@@ -920,49 +921,46 @@ let evaluate ?(config = Config.best) ?profile_seed ?observations ?divergence
 
 type parallel_run = {
   pr_jobs : int;
-  pr_engine : Spt_exec.Engine.kind;  (** engine both runs executed on *)
   pr_chunk : int option;  (** forced chunk size ([None] = auto) *)
   pr_depth : int option;  (** forced speculation depth ([None] = auto) *)
   pr_n_loops : int;  (** SPT loops handed to the runtime *)
-  pr_seq_wall : float;  (** sequential engine wall time, seconds *)
+  pr_seq_wall : float;  (** sequential run's wall time, seconds *)
   pr_measured_speedup : float;  (** sequential wall / parallel wall *)
   pr_runtime : Spt_runtime.Runtime.result;
   pr_spt : spt_compilation;  (** the compilation that was executed *)
 }
 
+let loop_specs spt =
+  List.map
+    (fun (sl : Tls_machine.spt_loop) ->
+      let record =
+        List.find_opt
+          (fun (r : loop_record) ->
+            String.equal r.lr_func sl.Tls_machine.sl_fname
+            && r.lr_header = sl.Tls_machine.sl_header)
+          spt.records
+      in
+      {
+        Spt_runtime.Runtime.ls_id = sl.Tls_machine.sl_id;
+        ls_fname = sl.Tls_machine.sl_fname;
+        ls_header = sl.Tls_machine.sl_header;
+        (* the cost model's per-iteration estimate sizes the chunk… *)
+        ls_iter_ops =
+          (match record with Some r -> r.lr_body_size | None -> 0.0);
+        (* …and its priced speculation depth bounds the epoch window *)
+        ls_depth = (match record with Some r -> r.lr_depth | None -> 0);
+      })
+    spt.spt_loops
+
 let run_parallel ?(config = Config.best) ?jobs ?chunk ?depth ?runtime_config
     ?timeline ?profile_seed ?observations ?divergence src : parallel_run =
   let spt = compile_spt ?profile_seed ?observations ?divergence config src in
-  let loops =
-    List.map
-      (fun (sl : Tls_machine.spt_loop) ->
-        let record =
-          List.find_opt
-            (fun (r : loop_record) ->
-              String.equal r.lr_func sl.Tls_machine.sl_fname
-              && r.lr_header = sl.Tls_machine.sl_header)
-            spt.records
-        in
-        {
-          Spt_runtime.Runtime.ls_id = sl.Tls_machine.sl_id;
-          ls_fname = sl.Tls_machine.sl_fname;
-          ls_header = sl.Tls_machine.sl_header;
-          (* the cost model's per-iteration estimate sizes the chunk… *)
-          ls_iter_ops =
-            (match record with Some r -> r.lr_body_size | None -> 0.0);
-          (* …and its priced speculation depth bounds the epoch window *)
-          ls_depth = (match record with Some r -> r.lr_depth | None -> 0);
-        })
-      spt.spt_loops
-  in
+  let loops = loop_specs spt in
   let rcfg =
     let base =
       match runtime_config with
       | Some c -> c
       | None -> Spt_runtime.Runtime.default_config ()
-    in
-    let base =
-      { base with Spt_runtime.Runtime.engine = config.Config.engine }
     in
     let base =
       match jobs with
@@ -992,14 +990,9 @@ let run_parallel ?(config = Config.best) ?jobs ?chunk ?depth ?runtime_config
   (* measured-speedup baseline: the same program run sequentially
      (markers are no-ops), on the same engine, on this machine, right
      now *)
-  let seq_run =
-    match rcfg.Spt_runtime.Runtime.engine with
-    | Spt_exec.Engine.Tree -> Spt_interp.Interp.run ?hooks:None
-    | Spt_exec.Engine.Bytecode -> Spt_exec.Engine.run
-  in
   let t0 = Unix.gettimeofday () in
   let _seq = Obs.Trace.span "run.sequential" (fun () ->
-      seq_run ~max_steps:rcfg.Spt_runtime.Runtime.max_steps
+      Spt_exec.Engine.run ~max_steps:rcfg.Spt_runtime.Runtime.max_steps
         spt.program) in
   let pr_seq_wall = Unix.gettimeofday () -. t0 in
   let r =
@@ -1023,7 +1016,6 @@ let run_parallel ?(config = Config.best) ?jobs ?chunk ?depth ?runtime_config
     | `Skipped -> "skipped");
   {
     pr_jobs = rcfg.Spt_runtime.Runtime.jobs;
-    pr_engine = rcfg.Spt_runtime.Runtime.engine;
     pr_chunk = rcfg.Spt_runtime.Runtime.chunk;
     pr_depth = rcfg.Spt_runtime.Runtime.depth;
     pr_n_loops = List.length loops;

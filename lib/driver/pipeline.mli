@@ -56,7 +56,9 @@ type loop_record = {
   lr_depth : int;
       (** speculation depth priced for this loop — the forced
           [Config.depth] if any, else {!Spt_cost.Cost_model.pick_depth}
-          on the optimal partition for selected loops; 0 when unpriced *)
+          on the optimal partition and the runtime's auto chunk
+          ({!Spt_runtime.Runtime.auto_chunk}) for selected loops; 0 when
+          unpriced *)
 }
 
 (** Result of evaluating one program under one configuration. *)
@@ -127,6 +129,13 @@ val compile_spt :
   string ->
   spt_compilation
 
+(** The runtime registrations of a compilation's SPT loops: one
+    {!Spt_runtime.Runtime.loop_spec} per simulator loop, carrying the
+    cost model's per-iteration estimate (which sizes the chunk) and
+    its priced depth (which bounds the epoch window); 0 for both when
+    the loop has no record. *)
+val loop_specs : spt_compilation -> Spt_runtime.Runtime.loop_spec list
+
 (** Compile both ways, simulate both, compare. *)
 val evaluate :
   ?config:Config.t ->
@@ -145,13 +154,12 @@ val evaluate :
     program for the measured (wall-clock) speedup. *)
 type parallel_run = {
   pr_jobs : int;
-  pr_engine : Spt_exec.Engine.kind;  (** engine both runs executed on *)
   pr_chunk : int option;  (** forced chunk size ([None] = auto) *)
   pr_depth : int option;
       (** forced speculation depth ([None] = the cost model's per-loop
           pick, capped at the runtime window) *)
   pr_n_loops : int;  (** SPT loops handed to the runtime *)
-  pr_seq_wall : float;  (** sequential engine wall time, seconds *)
+  pr_seq_wall : float;  (** sequential run's wall time, seconds *)
   pr_measured_speedup : float;  (** sequential wall / parallel wall *)
   pr_runtime : Spt_runtime.Runtime.result;
   pr_spt : spt_compilation;  (** the compilation that was executed *)
@@ -166,7 +174,7 @@ type parallel_run = {
     cost model's per-loop pick); [timeline] overrides its timeline — the per-domain
     speculation events land there, and (when tracing is enabled) are
     merged into the pipeline trace as extra lanes.  Both the parallel
-    run and its sequential baseline execute on [config]'s engine.
+    run and its sequential baseline execute on {!Spt_exec.Engine}.
     [profile_seed] / [observations] / [divergence] are passed to
     {!compile_spt}. *)
 val run_parallel :

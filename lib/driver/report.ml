@@ -561,8 +561,8 @@ let metrics_json ?(parallel = []) (results : (string * Pipeline.eval) list) =
          parallel)
     (List.map (fun (name, e) -> eval_json ~name e) results)
 
-let bench_json ?(feedback = []) ?(gap = []) ?(engines = []) ?depth ?profdb
-    ~quick ~per_config ~parallel () =
+let bench_json ?(feedback = []) ?(gap = []) ?depth ?profdb ~quick ~per_config
+    ~parallel () =
   Json.Obj
     ([
        ("schema", Json.Str "spt-bench-v2");
@@ -576,21 +576,9 @@ let bench_json ?(feedback = []) ?(gap = []) ?(engines = []) ?depth ?profdb
        ("parallel", Json.List parallel);
      ]
     @ (if gap = [] then [] else [ ("gap", Json.List gap) ])
-    @ (if engines = [] then [] else [ ("engines", Json.List engines) ])
     @ (match depth with Some d -> [ ("depth", d) ] | None -> [])
     @ (match profdb with Some p -> [ ("profdb", p) ] | None -> [])
     @ [ ("feedback", Json.List feedback) ])
-
-(** One row of the bench's tree-vs-bytecode sequential comparison. *)
-let engine_row ~workload ~tree_s ~bytecode_s =
-  Json.Obj
-    [
-      ("workload", Json.Str workload);
-      ("tree_seq_s", Json.Float tree_s);
-      ("bytecode_seq_s", Json.Float bytecode_s);
-      ( "bytecode_speedup",
-        Json.Float (if bytecode_s > 0.0 then tree_s /. bytecode_s else 0.0) );
-    ]
 
 (** One row of the bench's depth sweep ([spt-depth-v1]): one forced
     speculation depth, its wall time and speedup, and the runtime's
@@ -734,8 +722,6 @@ let attrib_json ?predicted ~workload ~timeline (pr : Pipeline.parallel_run) =
       ("schema", Json.Str "spt-attrib-v1");
       ("workload", Json.Str workload);
       ("jobs", Json.Int pr.Pipeline.pr_jobs);
-      ( "engine",
-        Json.Str (Spt_exec.Engine.string_of_kind pr.Pipeline.pr_engine) );
       ( "chunk",
         match pr.Pipeline.pr_chunk with
         | Some n -> Json.Int n
@@ -798,15 +784,10 @@ let top_attrib j =
        (int_of_float (num0 (Json.member "n_spt_loops" j)))
        (fmt_s wall)
        (fmt_s (num0 (Json.member "seq_wall_s" j))));
-  (match (Json.member "engine" j, Json.member "chunk" j) with
-  | None, None -> ()
-  | engine, chunk ->
-    Buffer.add_string buf
-      (Printf.sprintf "engine %s, chunk %s\n" (str_of engine)
-         (match chunk with
-         | Some (Json.Int n) -> string_of_int n
-         | Some (Json.Str s) -> s
-         | _ -> "-")));
+  (match Json.member "chunk" j with
+  | Some (Json.Int n) -> Buffer.add_string buf (Printf.sprintf "chunk %d\n" n)
+  | Some (Json.Str s) -> Buffer.add_string buf ("chunk " ^ s ^ "\n")
+  | _ -> ());
   (match Json.member "gap" j with
   | Some gap ->
     let measured = num0 (Json.member "measured_speedup" gap) in
@@ -938,11 +919,10 @@ let top_loadtest j =
        (inti "clients") (inti "server_jobs")
        (match Json.member "blend" j with
        | Some b ->
-         Printf.sprintf "cold=%d,warm=%d,guided=%d,engine=%d"
+         Printf.sprintf "cold=%d,warm=%d,guided=%d"
            (int_of_float (num0 (Json.member "cold" b)))
            (int_of_float (num0 (Json.member "warm" b)))
            (int_of_float (num0 (Json.member "guided" b)))
-           (int_of_float (num0 (Json.member "engine" b)))
        | None -> "-")
        (inti "seed"));
   Buffer.add_string buf
@@ -1148,26 +1128,6 @@ let top_bench j =
     Buffer.add_string buf "predicted vs measured speedup (gap)\n";
     Buffer.add_string buf (Table.render t)
   | _ -> Buffer.add_string buf "(no gap section; re-run bench/main.exe)\n");
-  (match Json.member "engines" j with
-  | Some (Json.List rows) when rows <> [] ->
-    let t =
-      Table.create
-        ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-        [ "workload"; "tree seq"; "bytecode seq"; "speedup" ]
-    in
-    List.iter
-      (fun r ->
-        Table.add_row t
-          [
-            str_of (Json.member "workload" r);
-            fmt_s (num0 (Json.member "tree_seq_s" r));
-            fmt_s (num0 (Json.member "bytecode_seq_s" r));
-            Printf.sprintf "%.2fx" (num0 (Json.member "bytecode_speedup" r));
-          ])
-      rows;
-    Buffer.add_string buf "sequential engines (tree vs bytecode)\n";
-    Buffer.add_string buf (Table.render t)
-  | _ -> ());
   (match Json.member "depth" j with
   | Some d ->
     Buffer.add_string buf "speculation depth (K-deep pipelining)\n";

@@ -88,15 +88,13 @@ val metrics_json_of : ?runtime:Spt_obs.Json.t list -> Spt_obs.Json.t list -> Spt
     {!metrics_json} object per configuration, the measured-speedup
     records of the real parallel runs, the static-vs-profile-guided
     misspeculation-cost comparison rows ([feedback]), the
-    tree-vs-bytecode sequential engine comparison rows ([engines],
-    {!engine_row}), the speculation-depth sweep ([depth], an
+    speculation-depth sweep ([depth], an
     `spt-depth-v1` object from {!depth_json}), and the
     profile-database repeated-workload generations scenario ([profdb],
     an `spt-profdb-v1` object). *)
 val bench_json :
   ?feedback:Spt_obs.Json.t list ->
   ?gap:Spt_obs.Json.t list ->
-  ?engines:Spt_obs.Json.t list ->
   ?depth:Spt_obs.Json.t ->
   ?profdb:Spt_obs.Json.t ->
   quick:bool ->
@@ -104,12 +102,6 @@ val bench_json :
   parallel:Spt_obs.Json.t list ->
   unit ->
   Spt_obs.Json.t
-
-(** One row of the bench [engines] section: sequential wall time of the
-    same workload on the tree-walking and bytecode engines, with the
-    bytecode speedup over tree. *)
-val engine_row :
-  workload:string -> tree_s:float -> bytecode_s:float -> Spt_obs.Json.t
 
 (** One row of the bench [depth] section: the same workload run with
     this speculation depth forced, with wall time, speedup over the

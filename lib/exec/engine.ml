@@ -26,15 +26,6 @@ module Interp = Spt_interp.Interp
 
 type value = I.value
 
-type kind = Tree | Bytecode
-
-let string_of_kind = function Tree -> "tree" | Bytecode -> "bytecode"
-
-let kind_of_string = function
-  | "tree" -> Ok Tree
-  | "bytecode" -> Ok Bytecode
-  | s -> Error (Printf.sprintf "unknown engine %S (expected tree|bytecode)" s)
-
 (* ------------------------------------------------------------------ *)
 (* Bytecode *)
 

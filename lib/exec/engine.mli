@@ -24,14 +24,6 @@ module Interp = Spt_interp.Interp
 
 type value = Interp.value
 
-(** Which execution engine a pipeline or runtime should use. *)
-type kind = Tree | Bytecode
-
-val string_of_kind : kind -> string
-
-(** Parse a [--engine] spelling.  [Error] carries a usage message. *)
-val kind_of_string : string -> (kind, string) result
-
 (** A program compiled to bytecode against a fixed layout.  Compiled
     code is immutable and may be shared across domains. *)
 type t

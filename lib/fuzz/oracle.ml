@@ -14,19 +14,13 @@ module Engine = Spt_exec.Engine
 
 type point =
   | P_par of int
-  | P_engine of Engine.kind * [ `Seq | `Par ]
+  | P_engine of [ `Tree | `Bytecode ]
   | P_depth of int
   | P_cache
   | P_feedback
   | P_inject of string
 
-let engine_axis =
-  [
-    P_engine (Engine.Tree, `Seq);
-    P_engine (Engine.Bytecode, `Seq);
-    P_engine (Engine.Tree, `Par);
-    P_engine (Engine.Bytecode, `Par);
-  ]
+let engine_axis = [ P_engine `Tree; P_engine `Bytecode ]
 
 let depth_axis = [ P_depth 1; P_depth 2; P_depth 4 ]
 
@@ -39,9 +33,8 @@ let known_faults = [ "drop-prefork-stmt" ]
 
 let string_of_point = function
   | P_par j -> Printf.sprintf "par:%d" j
-  | P_engine (k, m) ->
-    Printf.sprintf "engine:%s:%s" (Engine.string_of_kind k)
-      (match m with `Seq -> "seq" | `Par -> "par")
+  | P_engine `Tree -> "engine:tree:seq"
+  | P_engine `Bytecode -> "engine:bytecode:seq"
   | P_depth k -> Printf.sprintf "depth:%d" k
   | P_cache -> "cache"
   | P_feedback -> "feedback"
@@ -202,9 +195,9 @@ let invariant_divergences ~point (config : Config.t) (spt : Pipeline.spt_compila
 (* ------------------------------------------------------------------ *)
 (* Matrix points *)
 
-let runtime_config ?engine ?depth ~max_steps ~jobs () =
+let run_on_runtime ?depth ~max_steps ~jobs (spt : Pipeline.spt_compilation) =
   let c = Runtime.default_config () in
-  let c =
+  let config =
     {
       c with
       Runtime.jobs;
@@ -214,63 +207,15 @@ let runtime_config ?engine ?depth ~max_steps ~jobs () =
       depth;
     }
   in
-  match engine with None -> c | Some e -> { c with Runtime.engine = e }
+  Runtime.run ~config ~loops:(Pipeline.loop_specs spt) spt.Pipeline.program
 
-let run_on_runtime ?engine ?depth ~max_steps ~jobs
-    (spt : Pipeline.spt_compilation) =
-  let loops =
-    List.map
-      (fun (l : Spt_tlsim.Tls_machine.spt_loop) ->
-        let record =
-          List.find_opt
-            (fun (r : Pipeline.loop_record) ->
-              String.equal r.Pipeline.lr_func l.Spt_tlsim.Tls_machine.sl_fname
-              && r.Pipeline.lr_header = l.Spt_tlsim.Tls_machine.sl_header)
-            spt.Pipeline.records
-        in
-        {
-          Runtime.ls_id = l.Spt_tlsim.Tls_machine.sl_id;
-          ls_fname = l.Spt_tlsim.Tls_machine.sl_fname;
-          ls_header = l.Spt_tlsim.Tls_machine.sl_header;
-          ls_iter_ops =
-            (match record with
-            | Some r -> r.Pipeline.lr_body_size
-            | None -> 0.0);
-          ls_depth =
-            (match record with Some r -> r.Pipeline.lr_depth | None -> 0);
-        })
-      spt.Pipeline.spt_loops
-  in
-  Runtime.run
-    ~config:(runtime_config ?engine ?depth ~max_steps ~jobs ())
-    ~loops spt.Pipeline.program
-
-let par_point ~max_steps ~reference:ref_oc ~spt jobs =
-  let point = string_of_point (P_par jobs) in
-  match run_on_runtime ~max_steps ~jobs spt with
-  | exception Interp.Runtime_error m ->
-    ([ { d_point = point; d_kind = "error"; d_detail = m } ], 0)
-  | r ->
-    let misspecs =
-      List.fold_left
-        (fun acc (_, (s : Runtime.loop_stats)) ->
-          acc + s.Runtime.violations + s.Runtime.faults + s.Runtime.kills)
-        0 r.Runtime.stats
-    in
-    let internal =
-      match r.Runtime.oracle with
-      | `Match | `Skipped -> []
-      | `Mismatch m ->
-        [ { d_point = point; d_kind = "runtime-oracle"; d_detail = m } ]
-    in
-    (diff_outcomes ~point ~reference:ref_oc (outcome_of_runtime r) @ internal, misspecs)
-
-(* K epochs in flight: the forced depth exercises the ordered-commit
-   queue, the kill cascade and the runtime value predictor at exactly
-   [k] deep, against the same sequential reference as every point *)
-let depth_point ~max_steps ~reference:ref_oc ~spt k =
-  let point = string_of_point (P_depth k) in
-  match run_on_runtime ~depth:k ~max_steps ~jobs:2 spt with
+(* the speculative runtime at [jobs] domains.  A forced [depth] keeps
+   exactly that many epochs in flight, exercising the ordered-commit
+   queue, the kill cascade and the runtime value predictor at that
+   depth, against the same sequential reference as every point *)
+let runtime_point ?depth ~max_steps ~reference:ref_oc ~spt ~jobs point =
+  let point = string_of_point point in
+  match run_on_runtime ?depth ~max_steps ~jobs spt with
   | exception Interp.Runtime_error m ->
     ([ { d_point = point; d_kind = "error"; d_detail = m } ], 0)
   | r ->
@@ -289,10 +234,11 @@ let depth_point ~max_steps ~reference:ref_oc ~spt k =
     ( diff_outcomes ~point ~reference:ref_oc (outcome_of_runtime r) @ internal,
       misspecs )
 
-(* the *transformed* program executed sequentially on one engine:
-   markers are no-ops without a handler, so this checks both that the
-   SPT transformation preserved sequential semantics and that the two
-   engines agree instruction-for-instruction on real (fuzzed) code *)
+(* the *transformed* program executed sequentially on the tree
+   interpreter or the bytecode engine: markers are no-ops without a
+   handler, so this checks both that the SPT transformation preserved
+   sequential semantics and that the two agree
+   instruction-for-instruction on real (fuzzed) code *)
 let engine_seq_outcome ~max_steps kind (spt : Pipeline.spt_compilation) =
   let prog = spt.Pipeline.program in
   let layout = Layout.build prog.Ir.globals in
@@ -301,10 +247,8 @@ let engine_seq_outcome ~max_steps kind (spt : Pipeline.spt_compilation) =
   let main = Ir.func_of_program prog "main" in
   let ret =
     match kind with
-    | Engine.Tree -> Interp.call m main [] []
-    | Engine.Bytecode ->
-      let eng = Engine.compile m in
-      Engine.call eng m main [] []
+    | `Tree -> Interp.call m main [] []
+    | `Bytecode -> Engine.call (Engine.compile m) m main [] []
   in
   {
     oc_output = Buffer.contents store.Interp.sout;
@@ -313,33 +257,12 @@ let engine_seq_outcome ~max_steps kind (spt : Pipeline.spt_compilation) =
     oc_error = None;
   }
 
-let engine_point ~max_steps ~reference:ref_oc ~spt kind mode =
-  let point = string_of_point (P_engine (kind, mode)) in
-  let err m = [ { d_point = point; d_kind = "error"; d_detail = m } ] in
-  match mode with
-  | `Seq -> (
-    match engine_seq_outcome ~max_steps kind spt with
-    | exception e -> (err (Printexc.to_string e), 0)
-    | o -> (diff_outcomes ~point ~reference:ref_oc o, 0))
-  | `Par -> (
-    match run_on_runtime ~engine:kind ~max_steps ~jobs:2 spt with
-    | exception Interp.Runtime_error m -> (err m, 0)
-    | r ->
-      let misspecs =
-        List.fold_left
-          (fun acc (_, (s : Runtime.loop_stats)) ->
-            acc + s.Runtime.violations + s.Runtime.faults + s.Runtime.kills)
-          0 r.Runtime.stats
-      in
-      let internal =
-        match r.Runtime.oracle with
-        | `Match | `Skipped -> []
-        | `Mismatch m ->
-          [ { d_point = point; d_kind = "runtime-oracle"; d_detail = m } ]
-      in
-      ( diff_outcomes ~point ~reference:ref_oc (outcome_of_runtime r)
-        @ internal,
-        misspecs ))
+let engine_point ~max_steps ~reference:ref_oc ~spt kind =
+  let point = string_of_point (P_engine kind) in
+  match engine_seq_outcome ~max_steps kind spt with
+  | exception e ->
+    [ { d_point = point; d_kind = "error"; d_detail = Printexc.to_string e } ]
+  | o -> diff_outcomes ~point ~reference:ref_oc o
 
 (* cold/warm replay through a throwaway on-disk cache *)
 let tmp_counter = ref 0
@@ -479,6 +402,14 @@ let check ?(config = Config.best) ?(max_steps = default_max_steps) ~matrix src
       let misspecs = ref 0 in
       let fault_fired = ref false in
       let spt () = Option.get spt_opt (* present: [needs_base] *) in
+      let on_runtime ?depth ~jobs point =
+        let ds, m =
+          runtime_point ?depth ~max_steps ~reference:ref_oc ~spt:(spt ()) ~jobs
+            point
+        in
+        misspecs := !misspecs + m;
+        ds
+      in
       let divs =
         (match spt_opt with
         | Some s -> invariant_divergences ~point:"compile" config s
@@ -486,25 +417,10 @@ let check ?(config = Config.best) ?(max_steps = default_max_steps) ~matrix src
         @ List.concat_map
             (fun point ->
               match point with
-              | P_par jobs ->
-                let ds, m =
-                  par_point ~max_steps ~reference:ref_oc ~spt:(spt ()) jobs
-                in
-                misspecs := !misspecs + m;
-                ds
-              | P_engine (kind, mode) ->
-                let ds, m =
-                  engine_point ~max_steps ~reference:ref_oc ~spt:(spt ()) kind
-                    mode
-                in
-                misspecs := !misspecs + m;
-                ds
-              | P_depth k ->
-                let ds, m =
-                  depth_point ~max_steps ~reference:ref_oc ~spt:(spt ()) k
-                in
-                misspecs := !misspecs + m;
-                ds
+              | P_par jobs -> on_runtime ~jobs point
+              | P_engine kind ->
+                engine_point ~max_steps ~reference:ref_oc ~spt:(spt ()) kind
+              | P_depth k -> on_runtime ~depth:k ~jobs:2 point
               | P_cache -> cache_point ~config src
               | P_feedback ->
                 feedback_point ~max_steps ~config ~reference:ref_oc

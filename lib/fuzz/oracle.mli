@@ -12,12 +12,11 @@
       at 1, 2 and 4 worker domains (one compile, three executions); the
       runtime's own internal sequential-equivalence oracle must also
       report [`Match].
-    - [engine] — the execution-engine axis: the {e transformed} program
-      run on each {!Spt_exec.Engine.kind} (tree-walking and bytecode),
-      both sequentially (markers as no-ops — a direct
-      instruction-for-instruction parity check between the two engines)
-      and on the speculative runtime at 2 domains with that engine
-      selected.
+    - [engine] — the {e transformed} program run sequentially (markers
+      as no-ops) on the tree-walking reference interpreter and on the
+      bytecode engine ({!Spt_exec.Engine}): a direct
+      instruction-for-instruction parity check between the two on real
+      code.
     - [depth] — K-deep pipelining: the 2-domain runtime with the
       speculation depth forced to 1, 2 and 4 in-flight epochs,
       exercising the ordered-commit queue, the kill cascade and the
@@ -47,15 +46,16 @@
 
 type point =
   | P_par of int  (** speculative runtime at this many worker domains *)
-  | P_engine of Spt_exec.Engine.kind * [ `Seq | `Par ]
-      (** one engine, sequentially or on the 2-domain runtime *)
+  | P_engine of [ `Tree | `Bytecode ]
+      (** the transformed program run sequentially on the tree
+          interpreter or on the bytecode engine *)
   | P_depth of int
       (** the 2-domain runtime with this speculation depth forced *)
   | P_cache
   | P_feedback
   | P_inject of string  (** fault name, e.g. ["drop-prefork-stmt"] *)
 
-(** The four tree/bytecode × seq/par combinations — what the [engine]
+(** [engine:tree:seq] and [engine:bytecode:seq] — what the [engine]
     matrix family expands to. *)
 val engine_axis : point list
 

@@ -10,17 +10,16 @@ let schema = "spt-loadtest-v1"
 (* ------------------------------------------------------------------ *)
 
 module Blend = struct
-  type t = { cold : int; warm : int; guided : int; engine : int }
+  type t = { cold : int; warm : int; guided : int }
 
-  let default = { cold = 1; warm = 7; guided = 1; engine = 1 }
-  let total b = b.cold + b.warm + b.guided + b.engine
+  let default = { cold = 1; warm = 7; guided = 1 }
+  let total b = b.cold + b.warm + b.guided
 
   let to_string b =
-    Printf.sprintf "cold=%d,warm=%d,guided=%d,engine=%d" b.cold b.warm b.guided
-      b.engine
+    Printf.sprintf "cold=%d,warm=%d,guided=%d" b.cold b.warm b.guided
 
   let of_string s =
-    let b = ref { cold = 0; warm = 0; guided = 0; engine = 0 } in
+    let b = ref { cold = 0; warm = 0; guided = 0 } in
     let parts =
       List.filter (fun p -> p <> "") (String.split_on_char ',' (String.trim s))
     in
@@ -36,7 +35,6 @@ module Blend = struct
           | "cold" -> Ok (b := { !b with cold = w })
           | "warm" -> Ok (b := { !b with warm = w })
           | "guided" -> Ok (b := { !b with guided = w })
-          | "engine" -> Ok (b := { !b with engine = w })
           | _ -> Error (Printf.sprintf "blend: unknown kind %S" k))
         | _ -> Error (Printf.sprintf "blend: bad weight %S" v))
     in
@@ -54,7 +52,6 @@ module Blend = struct
         ("cold", Json.Int b.cold);
         ("warm", Json.Int b.warm);
         ("guided", Json.Int b.guided);
-        ("engine", Json.Int b.engine);
       ]
 end
 
@@ -138,15 +135,14 @@ void main() {
     (Printf.sprintf "  print_int(total + %d);\n}\n" (tag mod 13));
   Buffer.contents b
 
-type kind = Cold | Warm of int | Guided of int | Engine of int
+type kind = Cold | Warm of int | Guided of int
 
 let pick_kind rng (b : Blend.t) =
   let warm_ix () = Random.State.int rng warm_variants in
   let r = Random.State.int rng (Blend.total b) in
   if r < b.cold then Cold
   else if r < b.cold + b.warm then Warm (warm_ix ())
-  else if r < b.cold + b.warm + b.guided then Guided (warm_ix ())
-  else Engine (warm_ix ())
+  else Guided (warm_ix ())
 
 (* one phase's request lines: same [seed] ⇒ the same kind sequence, so
    the serial and concurrent phases replay the same stream (cold
@@ -171,11 +167,6 @@ let gen_requests ~seed ~blend ~profile ~phase ~count =
             (Printf.sprintf "guided-%d" k)
             (source_of ~tag:k)
             [ ("profile", Json.Str profile) ]
-        | Engine k ->
-          base "compile"
-            (Printf.sprintf "engine-%d" k)
-            (source_of ~tag:k)
-            [ ("engine", Json.Str "tree") ]
       in
       (id, Json.to_string ~minify:true req))
 
@@ -198,13 +189,6 @@ let prewarm_requests ~profile =
             ("name", Json.Str (Printf.sprintf "guided-%d" k));
             ("source", Json.Str src);
             ("profile", Json.Str profile);
-          ];
-        Json.Obj
-          [
-            ("op", Json.Str "compile");
-            ("name", Json.Str (Printf.sprintf "engine-%d" k));
-            ("source", Json.Str src);
-            ("engine", Json.Str "tree");
           ];
       ])
     (List.init warm_variants Fun.id)

@@ -25,21 +25,20 @@
     [Server.handle_line] directly, measuring raw handler parallelism.
 
     The request blend mixes [cold] (unique source, always a cache
-    miss), [warm] (a small fixed family of sources, cache hits),
-    [guided] (warm source compiled under a profile store) and [engine]
-    (warm source under the tree-walking engine) requests. *)
+    miss), [warm] (a small fixed family of sources, cache hits) and
+    [guided] (warm source compiled under a profile store) requests. *)
 
 val schema : string
 (** ["spt-loadtest-v1"]. *)
 
 module Blend : sig
-  type t = { cold : int; warm : int; guided : int; engine : int }
+  type t = { cold : int; warm : int; guided : int }
 
   val default : t
-  (** [cold=1, warm=7, guided=1, engine=1]. *)
+  (** [cold=1, warm=7, guided=1]. *)
 
   val of_string : string -> (t, string) result
-  (** Parse ["warm=7,cold=1,guided=1,engine=1"] — unlisted kinds get
+  (** Parse ["warm=7,cold=1,guided=1"] — unlisted kinds get
       weight 0, at least one weight must be positive. *)
 
   val to_string : t -> string

@@ -2,6 +2,7 @@ module Interp = Spt_interp.Interp
 module Layout = Spt_interp.Layout
 module Ir = Spt_ir.Ir
 module Obs = Spt_obs
+module Engine = Spt_exec.Engine
 
 type loop_spec = {
   ls_id : int;
@@ -19,7 +20,6 @@ type config = {
   max_steps : int;
   oracle : bool;
   timeline : Obs.Timeline.t option;
-  engine : Spt_exec.Engine.kind;
   chunk : int option;
   depth : int option;
 }
@@ -39,7 +39,6 @@ let default_config () =
     max_steps = 200_000_000;
     oracle = true;
     timeline = None;
-    engine = Spt_exec.Engine.Bytecode;
     chunk = None;
     depth = None;
   }
@@ -51,14 +50,12 @@ let default_config () =
    model's per-iteration estimate, clamped to [1, 256]. *)
 let chunk_target_ops = 2048.0
 
+let auto_chunk iter_ops =
+  if iter_ops <= 0.0 then 16
+  else max 1 (min 256 (int_of_float (ceil (chunk_target_ops /. iter_ops))))
+
 let chunk_size cfg spec =
-  match cfg.chunk with
-  | Some n -> max 1 n
-  | None ->
-    if spec.ls_iter_ops <= 0.0 then 16
-    else
-      max 1
-        (min 256 (int_of_float (ceil (chunk_target_ops /. spec.ls_iter_ops))))
+  match cfg.chunk with Some n -> max 1 n | None -> auto_chunk spec.ls_iter_ops
 
 (* Speculation depth K for a loop: the maximum number of speculative
    chunks (epochs) in flight at once.  A forced [config.depth] wins;
@@ -153,46 +150,10 @@ type task = {
   mutable texec_s : float;  (** seconds the task ran on its view *)
 }
 
-(* How segments and calls are executed: the tree interpreter or the
-   bytecode engine, chosen by [config.engine].  Both implement the same
-   segment-machine contract, so the scheduler is engine-agnostic. *)
-type exec_iface = {
-  x_seg :
-    Interp.state ->
-    Interp.frame ->
-    ?stop_block:int ->
-    watch_markers:bool ->
-    Interp.cursor ->
-    Interp.seg_stop;
-  x_call :
-    Interp.state ->
-    Ir.func ->
-    Interp.value list ->
-    Ir.sym list ->
-    Interp.value option;
-}
-
-let tree_iface =
-  {
-    x_seg =
-      (fun st frame ?stop_block ~watch_markers cur ->
-        Interp.exec_segment st frame ?stop_block ~watch_markers cur);
-    x_call = Interp.call;
-  }
-
-let bytecode_iface eng =
-  {
-    x_seg =
-      (fun st frame ?stop_block ~watch_markers cur ->
-        Spt_exec.Engine.exec_segment eng st frame ?stop_block ~watch_markers
-          cur);
-    x_call = (fun st f scalars arrays -> Spt_exec.Engine.call eng st f scalars arrays);
-  }
-
 type rt = {
   program : Ir.program;
   cfg : config;
-  x : exec_iface;
+  eng : Engine.t;  (** the program compiled once, shared by every domain *)
   pool : Pool.t;
   store : Interp.store;
   master : Interp.state;
@@ -269,7 +230,7 @@ let run_chunk rt ~(frame : Interp.frame) ~lid ~n ~fuel view start : outcome =
         ~regio:(Specmem.regio view)
     in
     let rec go forks cur =
-      match rt.x.x_seg tm tframe ~watch_markers:true cur with
+      match Engine.exec_segment rt.eng tm tframe ~watch_markers:true cur with
       | Interp.Seg_return v ->
         Stopped (Returned v, Interp.steps tm, forks + 1)
       | Interp.Seg_stop_block _ -> assert false (* no stop_block given *)
@@ -307,7 +268,10 @@ let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view : bool =
     let rec round k cur =
       if k = n then true
       else
-        match rt.x.x_seg tm tframe ~stop_block:header ~watch_markers:true cur with
+        match
+          Engine.exec_segment rt.eng tm tframe ~stop_block:header
+            ~watch_markers:true cur
+        with
         | Interp.Seg_marker (`Fork id, _) when id = lid -> round (k + 1) start
         | Interp.Seg_marker (`Kill id, _) when id = lid ->
           Obs.Log.debug "[runtime] loop %d: backbone predicts exit at round %d/%d"
@@ -330,12 +294,12 @@ let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view : bool =
 
 (* Serial recovery: replay the chunk's whole span on master state, in
    the engaged frame, on the master machine (its marker handler is not
-   consulted by [x_seg], so no re-entry).  Returns where the replay
+   consulted by [exec_segment], so no re-entry).  Returns where the replay
    stopped and how many iterations it retired.  Genuine program errors
    propagate from here exactly as a sequential run would. *)
 let serial_reexec rt ~(frame : Interp.frame) ~lid ~n start : stop * int =
   let rec go forks cur =
-    match rt.x.x_seg rt.master frame ~watch_markers:true cur with
+    match Engine.exec_segment rt.eng rt.master frame ~watch_markers:true cur with
     | Interp.Seg_return v -> (Returned v, forks + 1)
     | Interp.Seg_stop_block _ -> assert false
     | Interp.Seg_marker (`Fork id, after) when id = lid ->
@@ -863,13 +827,13 @@ let stats_json (r : result) =
              r.stats) );
     ]
 
-let sequential_reference x cfg layout program =
+let sequential_reference eng cfg layout program =
   let store = Interp.new_store layout program in
   let m =
     Interp.make ~max_steps:cfg.max_steps ~memio:(Interp.store_memio store)
       program
   in
-  let ret = x.x_call m (Ir.func_of_program program "main") [] [] in
+  let ret = Engine.call eng m (Ir.func_of_program program "main") [] [] in
   (ret, Buffer.contents store.Interp.sout, heap_digest store)
 
 let run ?config ?(loops = []) (program : Ir.program) : result =
@@ -896,25 +860,14 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
       (fun (s : Ir.sym) -> s.Ir.sid)
       (Layout.owner_of_element layout program.Ir.globals a)
   in
-  (* metrics-enabled runs sample the master machine's dispatch time;
-     worker machines never sample (the registry is single-threaded).
-     The bytecode engine does not advance the sampler, so the histogram
-     only fills on the tree engine. *)
-  if Obs.Metrics.enabled () then Interp.set_sampler master;
-  let x =
-    match cfg.engine with
-    | Spt_exec.Engine.Tree -> tree_iface
-    | Spt_exec.Engine.Bytecode ->
-      let tc0 = tl_now cfg.timeline in
-      let eng = Spt_exec.Engine.compile master in
-      tl_rec cfg.timeline Obs.Timeline.Compile ~lid:(-1) tc0;
-      bytecode_iface eng
-  in
+  let tc0 = tl_now cfg.timeline in
+  let eng = Engine.compile master in
+  tl_rec cfg.timeline Obs.Timeline.Compile ~lid:(-1) tc0;
   let rt =
     {
       program;
       cfg;
-      x;
+      eng;
       pool =
         Pool.create
           ~on_start:(fun () ->
@@ -949,7 +902,8 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
   let return_value =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown rt.pool)
-      (fun () -> x.x_call master (Ir.func_of_program program "main") [] [])
+      (fun () ->
+        Engine.call eng master (Ir.func_of_program program "main") [] [])
   in
   let wall_time = Unix.gettimeofday () -. t0 in
   let output = Buffer.contents store.Interp.sout in
@@ -957,7 +911,7 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
   let oracle =
     if not cfg.oracle then `Skipped
     else begin
-      let sret, sout, sdigest = sequential_reference x cfg layout program in
+      let sret, sout, sdigest = sequential_reference eng cfg layout program in
       if not (String.equal sout output) then
         `Mismatch
           (Printf.sprintf "output differs (%d bytes vs %d sequential)"

@@ -67,9 +67,6 @@ type config = {
       (** when set, every fork/exec/validate/commit/rollback/reexec/
           kill/chunk/compile is recorded per domain; drain it only
           after {!run} returns (the pool has then joined its workers) *)
-  engine : Spt_exec.Engine.kind;
-      (** how segments execute: the tree interpreter or the flat
-          bytecode engine (identical semantics; see {!Spt_exec}) *)
   chunk : int option;
       (** iterations per speculative fork; [None] auto-sizes from
           [ls_iter_ops] (targeting ~2048 dynamic ops per chunk,
@@ -82,11 +79,18 @@ type config = {
           bound. *)
 }
 
-(** [jobs] honours [SPT_JOBS]; window is [2 * jobs]; engine is
-    [Bytecode]; chunk is auto-sized; depth is per-loop/auto. *)
+(** [jobs] honours [SPT_JOBS]; window is [2 * jobs]; chunk is
+    auto-sized; depth is per-loop/auto. *)
 val default_config : unit -> config
 
-(** Chunk size [run] will use for a loop under this config. *)
+(** The auto chunk size for a loop whose cost-model estimate is
+    [iter_ops] dynamic operations per iteration: ~2048 dynamic ops per
+    chunk, rounded up, clamped to [1, 256]; 16 when [iter_ops <= 0.0]
+    (unknown).  The compile-time depth choice prices these chunks too. *)
+val auto_chunk : float -> int
+
+(** Chunk size [run] will use for a loop under this config: the forced
+    [config.chunk], else {!auto_chunk} of [ls_iter_ops]. *)
 val chunk_size : config -> loop_spec -> int
 
 (** Speculation depth [run] will use for a loop under this config:

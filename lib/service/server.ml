@@ -28,8 +28,6 @@ type t = {
   profdb : Spt_profdb.Profdb.t;
       (* the fleet profile database under the cache dir: consulted on
          every compile, fed by every workload run *)
-  engine : Spt_exec.Engine.kind option;
-      (* server-wide default engine; a request's own "engine" field wins *)
   jobs : int;
   queue_max : int;
   timeout_s : float option;
@@ -51,7 +49,7 @@ type t = {
   mutable inflight : int;
 }
 
-let create ?cache ?profdb ?engine ?(jobs = 1) ?(queue_max = 64) ?timeout_s () =
+let create ?cache ?profdb ?(jobs = 1) ?(queue_max = 64) ?timeout_s () =
   let cache =
     match cache with Some c -> c | None -> Artifact_cache.create ()
   in
@@ -63,7 +61,6 @@ let create ?cache ?profdb ?engine ?(jobs = 1) ?(queue_max = 64) ?timeout_s () =
       | None ->
         Spt_profdb.Profdb.for_cache ~tool:Cached.tool_version
           (Artifact_cache.dir cache));
-    engine;
     jobs = max 1 jobs;
     queue_max = max 1 queue_max;
     timeout_s;
@@ -112,22 +109,11 @@ let depth_of_req req =
   | Some (Json.Int k) when k >= 1 -> Some k
   | Some _ -> invalid_arg "depth must be a positive integer" (* -> error reply *)
 
-let config_of t req =
+let config_of req =
   let c =
     match str_member "config" req with
     | None -> Config.best
     | Some name -> Config.by_name name (* Invalid_argument -> error reply *)
-  in
-  let c =
-    match str_member "engine" req with
-    | Some s -> (
-      match Spt_exec.Engine.kind_of_string s with
-      | Ok k -> { c with Config.engine = k }
-      | Error msg -> invalid_arg msg (* -> error reply *))
-    | None -> (
-      match t.engine with
-      | Some k -> { c with Config.engine = k }
-      | None -> c)
   in
   match depth_of_req req with
   | Some k -> { c with Config.depth = Some k }
@@ -224,7 +210,7 @@ let reply_of t req =
     in
     let reply =
       match
-        Cached.compile ~cache:t.cache ~config:(config_of t req) ?profile
+        Cached.compile ~cache:t.cache ~config:(config_of req) ?profile
           ~profdb:t.profdb ~name source
       with
       (* depth_of_req cannot raise here: config_of already ran it *)
@@ -242,7 +228,7 @@ let reply_of t req =
     let t0 = Unix.gettimeofday () in
     let reply =
       match
-        let config = config_of t req in
+        let config = config_of req in
         let jobs =
           match Json.member "jobs" req with
           | Some (Json.Int n) -> max 1 n

@@ -10,8 +10,7 @@
     ["proto":{!protocol_version}].
 
     - [{"op":"compile","source":SRC}] or [{"op":"compile","file":PATH}]
-      — optional ["config"] (default "best"), ["engine"] ("tree" or
-      "bytecode", overriding the server default), ["depth"] (a positive
+      — optional ["config"] (default "best"), ["depth"] (a positive
       integer forcing the speculation depth — priced into the compile
       and echoed back; invalid values are rejected), ["profile"] (path
       to a profile store for guided compilation) and ["name"]; replies
@@ -62,9 +61,7 @@ val protocol_version : int
 
 type t
 
-(** [engine] overrides the execution engine of every resolved
-    configuration (a request's own ["engine"] field wins over it).
-    [jobs] (default 1 = sequential) sets the worker-domain count for
+(** [jobs] (default 1 = sequential) sets the worker-domain count for
     {!serve}; [queue_max] (default 64) the in-flight high-water mark;
     [timeout_s] (default none) the per-request timeout.  [profdb]
     (default: the database under the cache's directory, disabled when
@@ -73,7 +70,6 @@ type t
 val create :
   ?cache:Artifact_cache.t ->
   ?profdb:Spt_profdb.Profdb.t ->
-  ?engine:Spt_exec.Engine.kind ->
   ?jobs:int ->
   ?queue_max:int ->
   ?timeout_s:float ->

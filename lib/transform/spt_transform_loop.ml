@@ -474,7 +474,11 @@ let apply (f : Ir.func) (graph : Depgraph.t) ~(prefork : Iset.t) ~loop_id :
         List.fold_left (fun acc iid -> Iset.add iid acc) to_move header_iids
       in
       (* carried values whose defining statement moved pre-fork: their
-         phi carriers coalesce with the definition *)
+         phi carriers coalesce with the definition.  Each definition is
+         claimed by at most one phi — after copy propagation two phis
+         can share a latch operand, and priming both onto one register
+         would let SSA destruction write both initial values into it
+         (the later wins).  A second phi keeps its fresh intermediate. *)
       let def_site = Hashtbl.create 32 in
       Iset.iter
         (fun iid ->
@@ -483,19 +487,26 @@ let apply (f : Ir.func) (graph : Depgraph.t) ~(prefork : Iset.t) ~loop_id :
           | None -> ())
         to_move;
       let latch_set = Iset.of_list loop.Loops.latches in
+      let claimed = Hashtbl.create 8 in
       let coalesce =
         List.filter_map
           (fun (i : Ir.instr) ->
             match i.Ir.kind with
-            | Ir.Phi (d, ins) ->
-              List.find_map
-                (fun (p, o) ->
-                  match o with
-                  | Ir.Reg v
-                    when Iset.mem p latch_set && Hashtbl.mem def_site v.Ir.vid ->
-                    Some (d.Ir.vid, v)
-                  | _ -> None)
-                ins
+            | Ir.Phi (d, ins) -> (
+              match
+                List.find_map
+                  (fun (p, o) ->
+                    match o with
+                    | Ir.Reg v
+                      when Iset.mem p latch_set && Hashtbl.mem def_site v.Ir.vid ->
+                      Some v
+                    | _ -> None)
+                  ins
+              with
+              | Some v when not (Hashtbl.mem claimed v.Ir.vid) ->
+                Hashtbl.replace claimed v.Ir.vid ();
+                Some (d.Ir.vid, v)
+              | Some _ | None -> None)
             | _ -> None)
           header.Ir.instrs
       in

@@ -75,7 +75,19 @@ let test_usage_errors () =
       Alcotest.(check int) "unknown flag" 2
         (exec [ "run"; path; "--no-such-flag" ]);
       Alcotest.(check int) "batch unknown flag" 2
-        (exec [ "batch"; path; "--frobnicate" ]));
+        (exec [ "batch"; path; "--frobnicate" ]);
+      (* no command selects an execution engine *)
+      List.iter
+        (fun args ->
+          Alcotest.(check int) (String.concat " " args) 2
+            (exec (args @ [ "--engine"; "tree" ])))
+        [
+          [ "run"; path ];
+          [ "compile"; path; "--no-cache" ];
+          [ "workload"; "gzip"; "--no-cache" ];
+          [ "batch"; path; "--no-cache" ];
+          [ "serve"; "--no-cache" ];
+        ]);
   (* usage goes to stderr, not silently swallowed *)
   let code, err = exec_stderr [ "frobnicate" ] in
   Alcotest.(check int) "unknown subcommand exit" 2 code;
@@ -299,20 +311,15 @@ let test_attrib_exit_codes () =
           (* the analyzer renders it *)
           Alcotest.(check int) "top renders attrib" 0 (exec [ "top"; out ])))
 
-(* --engine / --chunk hardening: unknown engine and nonpositive chunk
-   are usage errors (2); both engines run; the attribution report names
-   the engine and forced chunk and [top] renders them *)
-let test_engine_chunk_flags () =
+(* --chunk hardening: a nonpositive chunk is a usage error (2); the
+   attribution report records a forced chunk and [top] renders it *)
+let test_chunk_flags () =
   let has hay needle =
     let n = String.length needle and l = String.length hay in
     let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
     go 0
   in
   with_source loopy_src (fun path ->
-      let code, err = exec_stderr [ "run"; path; "--engine"; "warp" ] in
-      Alcotest.(check int) "unknown --engine exits 2" 2 code;
-      Alcotest.(check bool) "error names the bad engine" true
-        (has err "warp");
       let code, err = exec_stderr [ "run"; path; "--parallel"; "--chunk"; "0" ] in
       Alcotest.(check int) "--chunk 0 exits 2" 2 code;
       Alcotest.(check bool) "error mentions --chunk" true (has err "--chunk");
@@ -320,36 +327,25 @@ let test_engine_chunk_flags () =
         (exec [ "run"; path; "--parallel"; "--chunk=-4" ]);
       Alcotest.(check int) "--chunk without --parallel exits 2" 2
         (exec [ "run"; path; "--chunk"; "4" ]);
-      Alcotest.(check int) "--engine tree runs" 0
-        (exec [ "run"; path; "--engine"; "tree" ]);
-      Alcotest.(check int) "--engine bytecode runs" 0
-        (exec [ "run"; path; "--engine"; "bytecode" ]);
-      Alcotest.(check int) "compile --engine tree exits 0" 0
-        (exec [ "compile"; path; "--no-cache"; "--engine"; "tree" ]);
-      Alcotest.(check int) "compile bad --engine exits 2" 2
-        (exec [ "compile"; path; "--no-cache"; "--engine"; "warp" ]);
       with_tmpdir (fun dir ->
           let out = Filename.concat dir "attrib.json" in
-          Alcotest.(check int) "parallel tree engine + forced chunk" 0
+          Alcotest.(check int) "parallel run + forced chunk" 0
             (exec
                [
-                 "run"; path; "--parallel"; "-j"; "2"; "--engine"; "tree";
-                 "--chunk"; "4"; "--attrib"; out;
+                 "run"; path; "--parallel"; "-j"; "2"; "--chunk"; "4";
+                 "--attrib"; out;
                ]);
           let j = parse_json out in
-          Alcotest.(check bool) "attrib names the engine" true
-            (Spt_obs.Json.member "engine" j
-            = Some (Spt_obs.Json.Str "tree"));
           Alcotest.(check bool) "attrib records the forced chunk" true
             (Spt_obs.Json.member "chunk" j = Some (Spt_obs.Json.Int 4));
-          (* the analyzer renders the engine line *)
+          (* the analyzer renders the chunk line *)
           let top = Filename.concat dir "top.out" in
-          Alcotest.(check int) "top renders engine attrib" 0
+          Alcotest.(check int) "top renders chunk attrib" 0
             (Sys.command
                (Filename.quote_command sptc [ "top"; out ]
                ^ " > " ^ Filename.quote top ^ " 2>/dev/null"));
-          Alcotest.(check bool) "top output names the engine" true
-            (has (read_file top) "engine")))
+          Alcotest.(check bool) "top output names the chunk" true
+            (has (read_file top) "chunk 4")))
 
 let test_depth_flags () =
   let has hay needle =
@@ -464,8 +460,7 @@ let suite =
     Alcotest.test_case "batch --trace/--metrics" `Quick test_batch_obs_flags;
     Alcotest.test_case "batch per-job counters" `Quick test_batch_per_job_counters;
     Alcotest.test_case "run --attrib + top" `Slow test_attrib_exit_codes;
-    Alcotest.test_case "--engine/--chunk hardening" `Slow
-      test_engine_chunk_flags;
+    Alcotest.test_case "--chunk hardening" `Slow test_chunk_flags;
     Alcotest.test_case "--depth hardening" `Slow test_depth_flags;
     Alcotest.test_case "top exit codes" `Quick test_top_exit_codes;
     Alcotest.test_case "batch cache roundtrip" `Quick test_batch_cache_roundtrip;

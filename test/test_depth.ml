@@ -117,29 +117,6 @@ void main() {
 }
 |}
 
-let loops_of (spt : Pipeline.spt_compilation) =
-  List.map
-    (fun (sl : Spt_tlsim.Tls_machine.spt_loop) ->
-      let record =
-        List.find_opt
-          (fun (r : Pipeline.loop_record) ->
-            String.equal r.Pipeline.lr_func sl.Spt_tlsim.Tls_machine.sl_fname
-            && r.Pipeline.lr_header = sl.Spt_tlsim.Tls_machine.sl_header)
-          spt.Pipeline.records
-      in
-      {
-        Runtime.ls_id = sl.Spt_tlsim.Tls_machine.sl_id;
-        ls_fname = sl.Spt_tlsim.Tls_machine.sl_fname;
-        ls_header = sl.Spt_tlsim.Tls_machine.sl_header;
-        ls_iter_ops =
-          (match record with
-          | Some r -> r.Pipeline.lr_body_size
-          | None -> 0.0);
-        ls_depth =
-          (match record with Some r -> r.Pipeline.lr_depth | None -> 0);
-      })
-    spt.Pipeline.spt_loops
-
 let run_spt ?(despec_after = 3) ?depth ?(window = 8) ~jobs
     (spt : Pipeline.spt_compilation) =
   Runtime.run
@@ -151,12 +128,11 @@ let run_spt ?(despec_after = 3) ?depth ?(window = 8) ~jobs
         spec_fuel = 2_000_000;
         max_steps = 200_000_000;
         oracle = true;
-        engine = Spt_exec.Engine.Bytecode;
         chunk = None;
         depth;
         timeline = None;
       }
-    ~loops:(loops_of spt) spt.Pipeline.program
+    ~loops:(Pipeline.loop_specs spt) spt.Pipeline.program
 
 let check_oracle name (r : Runtime.result) =
   match r.Runtime.oracle with
@@ -282,9 +258,11 @@ let test_pick_depth_extremes () =
   (* a clean loop pipelines as deep as the candidates go; a
      violation-heavy loop stays at the paper's main+1 model *)
   Alcotest.(check int) "clean loop goes deepest" 8
-    (Cost_model.pick_depth ~cost:0.0 ~body_size:100.0);
+    (Cost_model.pick_depth ~cost:0.0 ~body_size:100.0
+       ~chunk:(Runtime.auto_chunk 100.0));
   Alcotest.(check int) "hopeless loop stays at depth 1" 1
-    (Cost_model.pick_depth ~cost:100.0 ~body_size:1.0)
+    (Cost_model.pick_depth ~cost:100.0 ~body_size:1.0
+       ~chunk:(Runtime.auto_chunk 1.0))
 
 let test_depth_cost_shape () =
   (* the pipelining gain is monotone at zero risk... *)

@@ -255,31 +255,7 @@ void main() {
 }
 |}
 
-let loops_of (spt : Pipeline.spt_compilation) =
-  List.map
-    (fun (sl : Spt_tlsim.Tls_machine.spt_loop) ->
-      let record =
-        List.find_opt
-          (fun (r : Pipeline.loop_record) ->
-            String.equal r.Pipeline.lr_func sl.Spt_tlsim.Tls_machine.sl_fname
-            && r.Pipeline.lr_header = sl.Spt_tlsim.Tls_machine.sl_header)
-          spt.Pipeline.records
-      in
-      {
-        Runtime.ls_id = sl.Spt_tlsim.Tls_machine.sl_id;
-        ls_fname = sl.Spt_tlsim.Tls_machine.sl_fname;
-        ls_header = sl.Spt_tlsim.Tls_machine.sl_header;
-        ls_iter_ops =
-          (match record with
-          | Some r -> r.Pipeline.lr_body_size
-          | None -> 0.0);
-        ls_depth =
-          (match record with Some r -> r.Pipeline.lr_depth | None -> 0);
-      })
-    spt.Pipeline.spt_loops
-
-let rt_config ?(despec_after = 3) ?(engine = Spt_exec.Engine.Bytecode) ?chunk
-    ?depth ?timeline jobs =
+let rt_config ?(despec_after = 3) ?chunk ?depth ?timeline jobs =
   {
     Runtime.jobs;
     window = 2 * jobs;
@@ -287,17 +263,16 @@ let rt_config ?(despec_after = 3) ?(engine = Spt_exec.Engine.Bytecode) ?chunk
     spec_fuel = 2_000_000;
     max_steps = 200_000_000;
     oracle = true;
-    engine;
     chunk;
     depth;
     timeline;
   }
 
-let run_spt ?despec_after ?engine ?chunk ?depth ~jobs
+let run_spt ?despec_after ?chunk ?depth ~jobs
     (spt : Pipeline.spt_compilation) =
   Runtime.run
-    ~config:(rt_config ?despec_after ?engine ?chunk ?depth jobs)
-    ~loops:(loops_of spt) spt.Pipeline.program
+    ~config:(rt_config ?despec_after ?chunk ?depth jobs)
+    ~loops:(Pipeline.loop_specs spt) spt.Pipeline.program
 
 let check_oracle name (r : Runtime.result) =
   match r.Runtime.oracle with
@@ -374,19 +349,16 @@ void main() {
   in
   Alcotest.(check bool) "independent loop fully speculated" true clean_full
 
-let test_forced_chunk_and_engine () =
-  (* forced chunk sizes and both engines must agree with the default
-     run observable-for-observable, and record the forced size *)
+let test_forced_chunk () =
+  (* forced chunk sizes must agree with the default run
+     observable-for-observable, and record the forced size *)
   let spt = Pipeline.compile_spt Config.best stress_src in
   let base = run_spt ~jobs:2 spt in
   check_oracle "chunk base" base;
   List.iter
-    (fun (engine, chunk) ->
-      let r = run_spt ~engine ~chunk ~jobs:2 spt in
-      check_oracle
-        (Printf.sprintf "%s/chunk%d" (Spt_exec.Engine.string_of_kind engine)
-           chunk)
-        r;
+    (fun chunk ->
+      let r = run_spt ~chunk ~jobs:2 spt in
+      check_oracle (Printf.sprintf "chunk%d" chunk) r;
       Alcotest.(check string) "same output" base.Runtime.output r.Runtime.output;
       Alcotest.(check string) "same heap" base.Runtime.heap_digest
         r.Runtime.heap_digest;
@@ -394,11 +366,7 @@ let test_forced_chunk_and_engine () =
         (fun (_, (s : Runtime.loop_stats)) ->
           Alcotest.(check int) "forced chunk recorded" chunk s.Runtime.chunk)
         r.Runtime.stats)
-    [
-      (Spt_exec.Engine.Bytecode, 1);
-      (Spt_exec.Engine.Bytecode, 64);
-      (Spt_exec.Engine.Tree, 16);
-    ]
+    [ 1; 64 ]
 
 let test_workload_equivalence () =
   (* the headline criterion: every workload, jobs ∈ {1, 2, 4},
@@ -466,8 +434,7 @@ let suite =
       test_stress_misspeculates_and_matches;
     Alcotest.test_case "despeculation valve" `Slow test_despeculation_valve;
     Alcotest.test_case "clean loop commits" `Slow test_commits_happen;
-    Alcotest.test_case "forced chunk + engine equivalence" `Slow
-      test_forced_chunk_and_engine;
+    Alcotest.test_case "forced chunk equivalence" `Slow test_forced_chunk;
     Alcotest.test_case "workload equivalence x jobs {1,2,4}" `Slow
       test_workload_equivalence;
     Alcotest.test_case "outcome determinism" `Slow test_outcome_determinism;

@@ -660,6 +660,32 @@ let test_server_depth_field () =
       Alcotest.(check bool) "workload echoes depth" true
         (Json.member "depth" run = Some (Json.Int 2)))
 
+(* the execution engine is not part of the protocol: a request naming
+   one is the same request — the same key, a warm hit *)
+let test_server_ignores_engine_field () =
+  with_tmpdir (fun dir ->
+      let t = Server.create ~cache:(Cache.create ~dir ()) () in
+      let compile extra =
+        reply_of
+          (Server.handle t
+             (Json.Obj
+                ([
+                   ("op", Json.Str "compile");
+                   ("source", Json.Str tiny_src);
+                   ("name", Json.Str "tiny.c");
+                 ]
+                @ extra)))
+      in
+      let plain = compile [] in
+      let tree = compile [ ("engine", Json.Str "tree") ] in
+      Alcotest.(check (option bool)) "engine field is no error" (Some true)
+        (bool_member "ok" tree);
+      Alcotest.(check bool) "same cache key" true
+        (Json.member "key" plain <> None
+        && Json.member "key" tree = Json.member "key" plain);
+      Alcotest.(check (option bool)) "served warm" (Some true)
+        (bool_member "cache_hit" tree))
+
 let test_server_errors_keep_loop_alive () =
   let t = Server.create ~cache:(Cache.no_cache ()) () in
   let check_err name req =
@@ -943,6 +969,8 @@ let suite =
       test_cached_compile_raises_on_bad_source;
     Alcotest.test_case "server compile + stats" `Quick test_server_compile_and_stats;
     Alcotest.test_case "server depth field" `Slow test_server_depth_field;
+    Alcotest.test_case "server ignores engine field" `Quick
+      test_server_ignores_engine_field;
     Alcotest.test_case "server errors keep loop alive" `Quick
       test_server_errors_keep_loop_alive;
     Alcotest.test_case "concurrent handle stress" `Quick
