@@ -491,18 +491,24 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
     st.forks <- st.forks + 1;
     Obs.Metrics.inc m_forks;
     Pool.submit rt.pool (fun () ->
-        (* the Exec span lands on the worker domain's own lane *)
-        let e0 = Unix.gettimeofday () in
-        let o = run_chunk rt ~frame ~lid ~n ~fuel view after0 in
-        let e1 = Unix.gettimeofday () in
-        (match tl with
-        | Some tline -> Obs.Timeline.record tline Obs.Timeline.Exec ~lid ~t0:e0 ~t1:e1
-        | None -> ());
-        Mutex.lock rt.mu;
-        t.texec_s <- e1 -. e0;
-        t.tstatus <- Finished o;
-        Condition.broadcast rt.cond;
-        Mutex.unlock rt.mu);
+        (* a chunk the kill cascade rolled back while it was still
+           queued has left [pending]: nobody waits for it, so it must
+           not hold a worker ahead of the respawned head *)
+        if not (Specmem.is_rolled_back view) then begin
+          (* the Exec span lands on the worker domain's own lane *)
+          let e0 = Unix.gettimeofday () in
+          let o = run_chunk rt ~frame ~lid ~n ~fuel view after0 in
+          let e1 = Unix.gettimeofday () in
+          (match tl with
+          | Some tline ->
+            Obs.Timeline.record tline Obs.Timeline.Exec ~lid ~t0:e0 ~t1:e1
+          | None -> ());
+          Mutex.lock rt.mu;
+          t.texec_s <- e1 -. e0;
+          t.tstatus <- Finished o;
+          Condition.broadcast rt.cond;
+          Mutex.unlock rt.mu
+        end);
     tl_rec tl Obs.Timeline.Fork ~lid tf0
   in
   (* run one backbone fill on the sequential thread, then spawn the

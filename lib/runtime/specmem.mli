@@ -66,8 +66,10 @@ type stale =
 
 val string_of_stale : stale -> string
 
-(** Replay the read log against master.  [Error] describes the first
-    stale observation. *)
+(** Replay the read log against master.  [Error] describes the
+    earliest-logged stale observation: memory first, then registers,
+    then the RNG, each in first-read order — the same read on every run,
+    whatever addresses and vids are involved. *)
 val validate : view -> (unit, stale) result
 
 (** Apply the write buffer and buffered output to master and mark the

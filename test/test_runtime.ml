@@ -44,9 +44,9 @@ let test_pool_survives_exceptions () =
 
 let vi n = Eval.Vi (Int64.of_int n)
 
-let fresh_master () =
+let fresh_master ?(nregs = 4) () =
   let mem = Array.make 8 (vi 0) in
-  let regs = Array.make 4 None in
+  let regs = Array.make nregs None in
   let rng = ref 7L in
   let out = Buffer.create 16 in
   ( {
@@ -223,6 +223,418 @@ let test_specmem_validate_empty_read_log () =
   Specmem.commit v;
   Alcotest.(check bool) "buffered write lands over the interim value" true
     (Specmem.value_eq mem.(4) (vi 44))
+
+let stale_text v =
+  match Specmem.validate v with
+  | Ok () -> "ok"
+  | Error stale -> Specmem.string_of_stale stale
+
+(* when several reads went stale, validation names the earliest-logged
+   one: memory, then registers, each in first-read order *)
+let test_specmem_first_stale_order () =
+  let master, mem, regs, _ = fresh_master ~nregs:8 () in
+  let v = Specmem.create master in
+  let mio = Specmem.memio v in
+  ignore (mio.Interp.mio_load 5);
+  ignore (mio.Interp.mio_load 3);
+  mem.(5) <- vi 50;
+  mem.(3) <- vi 30;
+  Alcotest.(check string) "first memory read reported"
+    "mem[5] changed under speculation" (stale_text v);
+  regs.(7) <- Some (vi 70);
+  regs.(2) <- Some (vi 20);
+  let v = Specmem.create master in
+  let rio = Specmem.regio v in
+  ignore (rio.Interp.rio_get (var 7));
+  ignore (rio.Interp.rio_get (var 2));
+  regs.(7) <- Some (vi 71);
+  regs.(2) <- Some (vi 21);
+  Alcotest.(check string) "first register read reported"
+    "reg %7 changed under speculation" (stale_text v)
+
+(* Model-based check: random operation sequences over a chain of up to
+   four views, replayed against an association-list model of the
+   resolution order (own writes → own read log → uncommitted ancestors
+   → master), the kill rules and validate/commit/seal.  Every loaded
+   value, every validation verdict, every footprint and the master state
+   after every step must agree.  When several reads are stale, any of
+   them may be reported.  Each case draws its six addresses from a
+   larger memory, so keys collide in a view's index and runs of
+   neighbouring addresses are rare. *)
+
+type model_op =
+  | Load of int * int  (** view, address slot *)
+  | Store of int * int * int  (** view, address slot, value *)
+  | Reg_get of int * int
+  | Reg_set of int * int * int
+  | Reg_predict of int * int * int
+  | Rng of int
+  | Set_rng of int * int
+  | Print of int * int
+  | Rollback of int
+  | Seal of int
+  | Commit of int  (** validate, then commit when clean *)
+  | Master_mem of int * int  (** the sequential thread moves on *)
+  | Master_reg of int * int
+  | Master_rng of int
+
+let model_values =
+  [| vi 0; vi 1; vi 2; vi (-7); Eval.Vf 0.0; Eval.Vf (-0.0); Eval.Vf Float.nan; Eval.Vf 1.5 |]
+
+let model_mem = 1024
+let model_addrs = 6
+let model_regs = 5
+
+let string_of_model_op = function
+  | Load (v, a) -> Printf.sprintf "load v%d [%d]" v a
+  | Store (v, a, x) -> Printf.sprintf "store v%d [%d]=#%d" v a x
+  | Reg_get (v, r) -> Printf.sprintf "reg_get v%d %%%d" v r
+  | Reg_set (v, r, x) -> Printf.sprintf "reg_set v%d %%%d=#%d" v r x
+  | Reg_predict (v, r, x) -> Printf.sprintf "reg_predict v%d %%%d=#%d" v r x
+  | Rng v -> Printf.sprintf "rng v%d" v
+  | Set_rng (v, s) -> Printf.sprintf "set_rng v%d %d" v s
+  | Print (v, s) -> Printf.sprintf "print v%d %d" v s
+  | Rollback v -> Printf.sprintf "rollback v%d" v
+  | Seal v -> Printf.sprintf "seal v%d" v
+  | Commit v -> Printf.sprintf "commit v%d" v
+  | Master_mem (a, x) -> Printf.sprintf "master [%d]=#%d" a x
+  | Master_reg (r, x) -> Printf.sprintf "master %%%d=#%d" r x
+  | Master_rng s -> Printf.sprintf "master rng %d" s
+
+let gen_model_case =
+  let open QCheck.Gen in
+  let value = int_bound (Array.length model_values - 1) in
+  let addr = int_bound (model_addrs - 1) and reg = int_bound (model_regs - 1) in
+  let op k =
+    let view = int_bound (k - 1) in
+    frequency
+      [
+        (6, map2 (fun v a -> Load (v, a)) view addr);
+        (4, map3 (fun v a x -> Store (v, a, x)) view addr value);
+        (5, map2 (fun v r -> Reg_get (v, r)) view reg);
+        (3, map3 (fun v r x -> Reg_set (v, r, x)) view reg value);
+        (1, map3 (fun v r x -> Reg_predict (v, r, x)) view reg value);
+        (2, map (fun v -> Rng v) view);
+        (1, map2 (fun v s -> Set_rng (v, s)) view small_nat);
+        (1, map2 (fun v s -> Print (v, s)) view small_nat);
+        (1, map (fun v -> Rollback v) view);
+        (1, map (fun v -> Seal v) view);
+        (3, map (fun v -> Commit v) view);
+        (3, map2 (fun a x -> Master_mem (a, x)) addr value);
+        (2, map2 (fun r x -> Master_reg (r, x)) reg value);
+        (1, map (fun s -> Master_rng s) small_nat);
+      ]
+  in
+  pair (int_range 1 4) (array_repeat model_addrs (int_bound (model_mem - 1)))
+  >>= fun (k, addrs) ->
+  list_size (int_range 0 40) (op k) >|= fun ops -> (k, addrs, ops)
+
+type model_view = {
+  mparent : int option;
+  mutable mw : (int * Interp.value) list;  (** buffered writes *)
+  mutable mr : (int * Interp.value) list;  (** read log, oldest first *)
+  mutable rw : (int * Interp.value) list;
+  mutable rr : (int * Interp.value) list;
+  mutable rng_r : int64 option;
+  mutable rng_w : int64 option;
+  mutable out : string;
+  mutable st : [ `Live | `Committed | `Rolled_back ];
+}
+
+(* bit-level, so the model does not borrow the implementation's value_eq *)
+let model_eq a b =
+  match (a, b) with
+  | Eval.Vi x, Eval.Vi y -> Int64.equal x y
+  | Eval.Vf x, Eval.Vf y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+let run_model_case (k, addrs, ops) =
+  (* the implementation's master and the model's, started equal *)
+  let init_regs = Array.init model_regs (fun r -> if r mod 2 = 0 then Some (vi r) else None) in
+  let mem = Array.init model_mem vi and regs = Array.copy init_regs in
+  let rng = ref 1L and out = Buffer.create 16 in
+  let master =
+    {
+      Specmem.m_mem = mem;
+      m_regs = regs;
+      m_rng_get = (fun () -> !rng);
+      m_rng_set = (fun s -> rng := s);
+      m_out = out;
+    }
+  in
+  let mmem = Array.init model_mem vi and mregs = Array.copy init_regs in
+  let mrng = ref 1L and mout = Buffer.create 16 in
+  let views = Array.make k (Specmem.create master) in
+  for i = 1 to k - 1 do
+    views.(i) <- Specmem.create ~parent:views.(i - 1) master
+  done;
+  let mviews =
+    Array.init k (fun i ->
+        {
+          mparent = (if i = 0 then None else Some (i - 1));
+          mw = [];
+          mr = [];
+          rw = [];
+          rr = [];
+          rng_r = None;
+          rng_w = None;
+          out = "";
+          st = `Live;
+        })
+  in
+  let rec chain sel = function
+    | None -> None
+    | Some i -> (
+      let p = mviews.(i) in
+      match p.st with
+      | `Committed -> None
+      | `Rolled_back -> chain sel p.mparent
+      | `Live -> ( match sel p with Some _ as r -> r | None -> chain sel p.mparent))
+  in
+  let live m = m.st <> `Rolled_back in
+  let stale_set m =
+    List.filter_map
+      (fun (a, x) -> if model_eq mmem.(a) x then None else Some (Specmem.Stale_mem a))
+      m.mr
+    @ List.filter_map
+        (fun (r, x) ->
+          match mregs.(r) with
+          | Some y when model_eq x y -> None
+          | _ -> Some (Specmem.Stale_reg r))
+        m.rr
+    @ match m.rng_r with Some s when not (Int64.equal s !mrng) -> [ Specmem.Stale_rng ] | _ -> []
+  in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let step op =
+    let what = string_of_model_op op in
+    let value x = model_values.(x) in
+    let addr a = addrs.(a) in
+    let raised f = match f () with () -> false | exception Invalid_argument _ -> true in
+    (match op with
+    | Load (i, a) ->
+      let a = addr a in
+      let m = mviews.(i) in
+      let want =
+        match List.assoc_opt a m.mw with
+        | Some x -> x
+        | None -> (
+          match List.assoc_opt a m.mr with
+          | Some x -> x
+          | None ->
+            let x =
+              match chain (fun p -> List.assoc_opt a p.mw) m.mparent with
+              | Some x -> x
+              | None -> mmem.(a)
+            in
+            m.mr <- m.mr @ [ (a, x) ];
+            x)
+      in
+      let got = (Specmem.memio views.(i)).Interp.mio_load a in
+      if not (model_eq got want) then fail "%s: loaded a different value" what
+    | Store (i, a, x) ->
+      let a = addr a in
+      let m = mviews.(i) in
+      if live m then m.mw <- (a, value x) :: List.remove_assoc a m.mw;
+      (Specmem.memio views.(i)).Interp.mio_store a (value x)
+    | Reg_get (i, r) ->
+      let m = mviews.(i) in
+      let want =
+        match List.assoc_opt r m.rw with
+        | Some x -> Some x
+        | None -> (
+          match List.assoc_opt r m.rr with
+          | Some x -> Some x
+          | None ->
+            let x =
+              match chain (fun p -> List.assoc_opt r p.rw) m.mparent with
+              | Some x -> Some x
+              | None -> mregs.(r)
+            in
+            Option.iter (fun x -> m.rr <- m.rr @ [ (r, x) ]) x;
+            x)
+      in
+      let got = (Specmem.regio views.(i)).Interp.rio_get (var r) in
+      if not (Option.equal model_eq got want) then fail "%s: read a different register" what
+    | Reg_set (i, r, x) | Reg_predict (i, r, x) ->
+      let m = mviews.(i) in
+      if live m then m.rw <- (r, value x) :: List.remove_assoc r m.rw;
+      (match op with
+      | Reg_set _ -> (Specmem.regio views.(i)).Interp.rio_set (var r) (value x)
+      | _ -> Specmem.reg_predict views.(i) r (value x))
+    | Rng i ->
+      let m = mviews.(i) in
+      let want =
+        match (m.rng_w, m.rng_r) with
+        | Some s, _ | None, Some s -> s
+        | None, None ->
+          let s =
+            match chain (fun p -> p.rng_w) m.mparent with Some s -> s | None -> !mrng
+          in
+          m.rng_r <- Some s;
+          s
+      in
+      let got = (Specmem.memio views.(i)).Interp.mio_rng () in
+      if not (Int64.equal got want) then fail "%s: observed a different RNG state" what
+    | Set_rng (i, s) ->
+      let m = mviews.(i) in
+      if live m then m.rng_w <- Some (Int64.of_int s);
+      (Specmem.memio views.(i)).Interp.mio_set_rng (Int64.of_int s)
+    | Print (i, s) ->
+      let m = mviews.(i) in
+      if live m then m.out <- m.out ^ string_of_int s;
+      (Specmem.memio views.(i)).Interp.mio_print (string_of_int s)
+    | Rollback i ->
+      let m = mviews.(i) in
+      let want = m.st = `Committed in
+      if not want then m.st <- `Rolled_back;
+      if raised (fun () -> Specmem.rollback views.(i)) <> want then
+        fail "%s: rollback disagrees on raising" what
+    | Seal i ->
+      let m = mviews.(i) in
+      let want = m.st = `Rolled_back in
+      if not want then m.st <- `Committed;
+      if raised (fun () -> Specmem.seal views.(i)) <> want then
+        fail "%s: seal disagrees on raising" what
+    | Commit i -> (
+      let m = mviews.(i) in
+      let stale = stale_set m in
+      match (Specmem.validate views.(i), stale) with
+      | Ok (), [] ->
+        let want = m.st = `Rolled_back in
+        if not want then begin
+          List.iter (fun (a, x) -> mmem.(a) <- x) m.mw;
+          List.iter (fun (r, x) -> mregs.(r) <- Some x) m.rw;
+          Option.iter (fun s -> mrng := s) m.rng_w;
+          Buffer.add_string mout m.out;
+          m.st <- `Committed
+        end;
+        if raised (fun () -> Specmem.commit views.(i)) <> want then
+          fail "%s: commit disagrees on raising" what
+      | Ok (), _ :: _ -> fail "%s: a stale read validated" what
+      | Error _, [] -> fail "%s: a clean view failed validation" what
+      | Error s, _ ->
+        if not (List.mem s stale) then
+          fail "%s: reported %s, which is not stale" what (Specmem.string_of_stale s))
+    | Master_mem (a, x) ->
+      mem.(addr a) <- value x;
+      mmem.(addr a) <- value x
+    | Master_reg (r, x) ->
+      regs.(r) <- Some (value x);
+      mregs.(r) <- Some (value x)
+    | Master_rng s ->
+      rng := Int64.of_int s;
+      mrng := Int64.of_int s);
+    Array.iteri
+      (fun i v ->
+        let m = mviews.(i) in
+        let bit b = if b then 1 else 0 in
+        let want =
+          ( List.length m.mr + List.length m.rr + bit (m.rng_r <> None),
+            List.length m.mw + List.length m.rw + bit (m.rng_w <> None) )
+        in
+        if Specmem.footprint v <> want then fail "%s: footprint of v%d differs" what i)
+      views;
+    if
+      not
+        (Array.for_all2 model_eq mem mmem
+        && Array.for_all2 (Option.equal model_eq) regs mregs
+        && Int64.equal !rng !mrng
+        && String.equal (Buffer.contents out) (Buffer.contents mout))
+    then fail "%s: master state differs" what
+  in
+  List.iter step ops;
+  true
+
+let prop_specmem_model =
+  QCheck.Test.make ~count:1000 ~name:"specmem agrees with a reference model"
+    (QCheck.make
+       ~print:(fun (k, addrs, ops) ->
+         Printf.sprintf "%d views, addresses [%s]: %s" k
+           (String.concat "; " (Array.to_list (Array.map string_of_int addrs)))
+           (String.concat "; " (List.map string_of_model_op ops)))
+       gen_model_case)
+    run_model_case
+
+(* more registers and addresses than a 16-bit index can number *)
+let test_specmem_wide_indices () =
+  let n = 70_000 in
+  let mem = Array.init n vi and regs = Array.init n (fun i -> Some (vi i)) in
+  let master =
+    {
+      Specmem.m_mem = mem;
+      m_regs = regs;
+      m_rng_get = (fun () -> 0L);
+      m_rng_set = ignore;
+      m_out = Buffer.create 16;
+    }
+  in
+  let v = Specmem.create master in
+  let mio = Specmem.memio v and rio = Specmem.regio v in
+  for i = 0 to n - 1 do
+    ignore (rio.Interp.rio_get (var i));
+    ignore (mio.Interp.mio_load i)
+  done;
+  for i = 0 to n - 1 do
+    if i land 1 = 1 then begin
+      rio.Interp.rio_set (var i) (vi (-i));
+      mio.Interp.mio_store i (vi (-i))
+    end
+  done;
+  let wrong = ref 0 in
+  for i = 0 to n - 1 do
+    let want = if i land 1 = 1 then vi (-i) else vi i in
+    if rio.Interp.rio_get (var i) <> Some want then incr wrong;
+    if mio.Interp.mio_load i <> want then incr wrong
+  done;
+  Alcotest.(check int) "every read sees its own entry" 0 !wrong;
+  Alcotest.(check (pair int int)) "footprint" (2 * n, n) (Specmem.footprint v);
+  regs.(n - 1) <- Some (vi 0);
+  Alcotest.(check string) "stale last register"
+    (Printf.sprintf "reg %%%d changed under speculation" (n - 1))
+    (stale_text v);
+  regs.(n - 1) <- Some (vi (n - 1));
+  mem.(n - 2) <- vi 0;
+  Alcotest.(check string) "stale address"
+    (Printf.sprintf "mem[%d] changed under speculation" (n - 2))
+    (stale_text v);
+  mem.(n - 2) <- vi (n - 2);
+  Alcotest.(check string) "clean" "ok" (stale_text v);
+  Specmem.commit v;
+  let wrong = ref 0 in
+  for i = 0 to n - 1 do
+    let want = if i land 1 = 1 then vi (-i) else vi i in
+    if regs.(i) <> Some want then incr wrong;
+    if mem.(i) <> want then incr wrong
+  done;
+  Alcotest.(check int) "master holds every committed write" 0 !wrong
+
+(* A chunk view of the size the suite's loops produce (twolf logs about
+   160 first reads over 318 registers) must be built from blocks the
+   minor heap holds: words allocated straight onto the major heap are
+   major words not accounted for by promotion. *)
+let test_specmem_minor_heap () =
+  let nregs = 318 in
+  let master =
+    {
+      Specmem.m_mem = Array.init 256 vi;
+      m_regs = Array.init nregs (fun i -> Some (vi i));
+      m_rng_get = (fun () -> 0L);
+      m_rng_set = ignore;
+      m_out = Buffer.create 16;
+    }
+  in
+  let vars = Array.init nregs var and x = vi 1 in
+  let _, promoted0, major0 = Gc.counters () in
+  let v = Specmem.create master in
+  let mio = Specmem.memio v and rio = Specmem.regio v in
+  for a = 0 to 159 do ignore (mio.Interp.mio_load a) done;
+  for a = 160 to 191 do mio.Interp.mio_store a x done;
+  for r = 0 to 64 do ignore (rio.Interp.rio_get vars.(r)) done;
+  for r = 65 to 96 do rio.Interp.rio_set vars.(r) x done;
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check (pair int int)) "view filled" (225, 64) (Specmem.footprint v);
+  Alcotest.(check (float 0.0)) "words allocated directly on the major heap" 0.0
+    (major1 -. promoted1 -. (major0 -. promoted0))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program speculation *)
@@ -430,6 +842,14 @@ let suite =
     Alcotest.test_case "specmem empty commit" `Quick test_specmem_empty_commit;
     Alcotest.test_case "specmem validate empty read log" `Quick
       test_specmem_validate_empty_read_log;
+    Alcotest.test_case "specmem first stale read reported" `Quick
+      test_specmem_first_stale_order;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      prop_specmem_model;
+    Alcotest.test_case "specmem 70,000 registers" `Quick
+      test_specmem_wide_indices;
+    Alcotest.test_case "specmem view stays in the minor heap" `Quick
+      test_specmem_minor_heap;
     Alcotest.test_case "stress misspeculates, still matches" `Slow
       test_stress_misspeculates_and_matches;
     Alcotest.test_case "despeculation valve" `Slow test_despeculation_valve;
