@@ -56,7 +56,7 @@ for src in examples/src/scan.c examples/src/histogram.c; do
   # domain bucket lines appear before the totals object; take only the
   # per-domain ones (totals would double-count)
   bucket_sum=$(sed -n '1,/"totals"/p' "$attrib" \
-    | sed -n 's/.*"\(compile\|dispatch\|chunk\|fork\|validate\|commit\|rollback\|idle\)": \([0-9][0-9.e+-]*\).*/\2/p' \
+    | sed -n 's/.*"\(compile\|dispatch\|inline\|chunk\|fork\|validate\|commit\|rollback\|idle\)": \([0-9][0-9.e+-]*\).*/\2/p' \
     | awk '{ s += $1 } END { printf "%.9f", s }')
 
   awk -v sum="$bucket_sum" -v wall="$wall" -v lanes="$lanes" 'BEGIN {

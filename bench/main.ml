@@ -552,13 +552,14 @@ let depth_sweep () =
       ]
   in
   let cores = Domain.recommended_domain_count () in
-  if cores <= parallel_jobs then
+  let workers = R.workers_for parallel_jobs in
+  if cores <= workers then
     Printf.printf
       "(%d usable core(s) for %d worker(s) + the sequential thread: the \n\
        deeper pipelines time-share one core, so the sweep measures \n\
        K-deep overhead here, not speedup — depth_smoke.sh scales its \n\
        assertion by the recorded core count)\n"
-      cores parallel_jobs;
+      cores workers;
   Report.depth_json ~workload:"depth_pipeline" ~jobs:parallel_jobs ~cores
     ~accumulator rows
 

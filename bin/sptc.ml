@@ -261,8 +261,9 @@ let run_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for $(b,--parallel) (defaults to $(b,SPT_JOBS) \
-             or 1)")
+            "Worker domains wanted for $(b,--parallel) (defaults to \
+             $(b,SPT_JOBS) or 1); the sequential thread runs chunks too, \
+             so at most one fewer than the cores start")
   in
   let feedback_out_arg =
     Arg.(
@@ -417,14 +418,14 @@ let run_cmd =
           print_string r.output;
           Format.printf
             "; %d instructions committed on %d worker(s), %d SPT loop(s)@."
-            r.dynamic_instrs pr.Spt_driver.Pipeline.pr_jobs
-            pr.Spt_driver.Pipeline.pr_n_loops;
+            r.dynamic_instrs r.workers pr.Spt_driver.Pipeline.pr_n_loops;
           List.iter
             (fun (lid, s) ->
               Format.printf
-                "; loop %d: %d forks, %d commits, %d violations, %d faults, \
-                 %d kills, %d despeculations@."
-                lid s.forks s.commits s.violations s.faults s.kills s.despecs)
+                "; loop %d: %d forks, %d inline, %d commits, %d violations, \
+                 %d faults, %d kills, %d despeculations@."
+                lid s.forks s.inline s.commits s.violations s.faults s.kills
+                s.despecs)
             r.stats;
           Format.printf
             "; wall %.3fs vs %.3fs sequential (measured speedup %.2fx)@."

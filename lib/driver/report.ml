@@ -627,12 +627,13 @@ module Timeline = Spt_obs.Timeline
 
 let bucket_names =
   [
-    "compile"; "dispatch"; "chunk"; "svp"; "fork"; "validate"; "commit";
-    "rollback";
+    "compile"; "dispatch"; "inline"; "chunk"; "svp"; "fork"; "validate";
+    "commit"; "rollback";
   ]
 
 (* exec time is the engine dispatching the chunk's instructions, split
-   from the one-off compile-to-bytecode cost; chunk is the sequential
+   from the one-off compile-to-bytecode cost; inline is the sequential
+   thread running a round's head chunks itself; chunk is the sequential
    thread predicting the next chunk's pre-fork backbone; svp is value
    predictions injected into that backbone; kills and serial
    re-executions are both prices of misspeculation, so they land in the
@@ -640,6 +641,7 @@ let bucket_names =
 let bucket_of_kind = function
   | Timeline.Compile -> "compile"
   | Timeline.Exec -> "dispatch"
+  | Timeline.Inline -> "inline"
   | Timeline.Chunk -> "chunk"
   | Timeline.Svp -> "svp"
   | Timeline.Fork -> "fork"
@@ -722,6 +724,7 @@ let attrib_json ?predicted ~workload ~timeline (pr : Pipeline.parallel_run) =
       ("schema", Json.Str "spt-attrib-v1");
       ("workload", Json.Str workload);
       ("jobs", Json.Int pr.Pipeline.pr_jobs);
+      ("workers", Json.Int pr.Pipeline.pr_runtime.Spt_runtime.Runtime.workers);
       ( "chunk",
         match pr.Pipeline.pr_chunk with
         | Some n -> Json.Int n
@@ -778,9 +781,12 @@ let top_attrib j =
   let buf = Buffer.create 512 in
   let wall = num0 (Json.member "wall_s" j) in
   Buffer.add_string buf
-    (Printf.sprintf "workload %s: %d job(s), %d SPT loop(s), wall %s (seq %s)\n"
+    (Printf.sprintf
+       "workload %s: %d job(s) on %d worker(s), %d SPT loop(s), wall %s (seq \
+        %s)\n"
        (str_of (Json.member "workload" j))
        (int_of_float (num0 (Json.member "jobs" j)))
+       (int_of_float (num0 (Json.member "workers" j)))
        (int_of_float (num0 (Json.member "n_spt_loops" j)))
        (fmt_s wall)
        (fmt_s (num0 (Json.member "seq_wall_s" j))));

@@ -119,7 +119,7 @@ let outcome_of_runtime (r : Runtime.result) =
   {
     oc_output = r.Runtime.output;
     oc_return = render_ret r.Runtime.return_value;
-    oc_digest = r.Runtime.heap_digest;
+    oc_digest = Lazy.force r.Runtime.heap_digest;
     oc_error = None;
   }
 

@@ -11,8 +11,9 @@ type kind =
   | Chunk
   | Compile
   | Svp
+  | Inline
 
-let n_kinds = 10
+let n_kinds = 11
 
 let kind_index = function
   | Fork -> 0
@@ -25,10 +26,12 @@ let kind_index = function
   | Chunk -> 7
   | Compile -> 8
   | Svp -> 9
+  | Inline -> 10
 
 let kind_of_index =
   [|
     Fork; Exec; Validate; Commit; Rollback; Reexec; Kill; Chunk; Compile; Svp;
+    Inline;
   |]
 
 let kind_name = function
@@ -42,6 +45,7 @@ let kind_name = function
   | Chunk -> "chunk"
   | Compile -> "compile"
   | Svp -> "svp"
+  | Inline -> "inline"
 
 (* One ring per recording domain, owned exclusively by that domain:
    the hot path touches no lock and no shared structure.  Per-kind

@@ -2,11 +2,12 @@
 
     A [Timeline.t] records the lifecycle events of speculative
     execution — fork, task execution, validate, commit, rollback,
-    serial re-execution, kill — with one preallocated ring per
-    recording domain, acquired through domain-local storage.  The hot
-    path is one DLS load, four array stores and two float adds: no
-    lock, no allocation, no shared mutable state, so worker domains
-    record freely while the sequential thread commits.
+    serial re-execution, kill, inline head chunks — with one
+    preallocated ring per recording domain, acquired through
+    domain-local storage.  The hot path is one DLS load, four array
+    stores and two float adds: no lock, no allocation, no shared
+    mutable state, so worker domains record freely while the
+    sequential thread commits.
 
     Per-kind duration sums stay exact for the whole run; the per-event
     detail (what the Chrome trace export and the latency quantiles
@@ -33,6 +34,9 @@ type kind =
   | Svp
       (** injecting software value predictions into the backbone view a
           speculative chunk is about to read through *)
+  | Inline
+      (** the sequential thread running a round's head chunk itself, on
+          master state *)
 
 val kind_name : kind -> string
 

@@ -69,6 +69,12 @@ let depth_of cfg spec =
   | None ->
     if spec.ls_depth > 0 then max 1 (min spec.ls_depth window) else window
 
+(* The sequential thread computes too (it runs each round's head chunks
+   itself), so the pool leaves it a core: [jobs] workers at most, one
+   fewer than the cores, and never none. *)
+let workers_for jobs =
+  max 1 (min jobs (Domain.recommended_domain_count () - 1))
+
 (* Per-variable software-value-prediction counters: how often a
    forward-predicted register was injected, proved right (its reader
    committed) and proved wrong (its reader failed validation on it). *)
@@ -82,6 +88,7 @@ type loop_stats = {
   mutable chunk : int;
   mutable depth : int;
   mutable forks : int;
+  mutable inline : int;
   mutable commits : int;
   mutable violations : int;
   mutable faults : int;
@@ -100,6 +107,7 @@ type loop_stats = {
 (* global observability counters (no-ops unless metrics are enabled);
    only ever touched from the sequential thread *)
 let m_forks = Obs.Metrics.counter "runtime.forks"
+let m_inline = Obs.Metrics.counter "runtime.inline"
 let m_commits = Obs.Metrics.counter "runtime.commits"
 let m_kills = Obs.Metrics.counter "runtime.kills"
 let m_violations = Obs.Metrics.counter "runtime.violations"
@@ -139,7 +147,7 @@ type status = Pending | Finished of outcome
 
 type task = {
   tview : Specmem.view;
-  tbv : Specmem.view option;
+  tbv : Specmem.view;
       (** the backbone (predictor) view this chunk reads through;
           sealed once the chunk resolves *)
   tstart : Interp.cursor;
@@ -150,11 +158,27 @@ type task = {
   mutable texec_s : float;  (** seconds the task ran on its view *)
 }
 
+(* What the round planner knows about a loop: exponentially weighted
+   means of the costs the runtime measures itself, per iteration for the
+   three ways an iteration is executed and per chunk for validation plus
+   commit; 0.0 until first measured.  Kept across entries of the loop,
+   touched only by the sequential thread. *)
+type loop_costs = {
+  mutable c_inline : float;  (** master seconds per iteration, run inline *)
+  mutable c_fill : float;  (** backbone seconds per predicted iteration *)
+  mutable c_exec : float;  (** worker seconds per speculative iteration *)
+  mutable c_resolve : float;  (** validate + commit seconds per chunk *)
+}
+
+let ewma old x = if old <= 0.0 then x else old +. (0.25 *. (x -. old))
+
 type rt = {
   program : Ir.program;
   cfg : config;
   eng : Engine.t;  (** the program compiled once, shared by every domain *)
-  pool : Pool.t;
+  mutable pool : Pool.t option;
+      (** started by the first worker chunk, shut down when [run] returns *)
+  workers : int;  (** the pool's size *)
   store : Interp.store;
   master : Interp.state;
   mu : Mutex.t;
@@ -162,6 +186,7 @@ type rt = {
   specs : (int, loop_spec) Hashtbl.t;
   despec : (int, unit) Hashtbl.t;
   stats : (int, loop_stats) Hashtbl.t;
+  costs : (int, loop_costs) Hashtbl.t;
   region_of : int -> int option;
       (** element address -> region sid, for violation attribution *)
   mutable committed_steps : int;
@@ -176,6 +201,7 @@ let loop_stats rt lid =
         chunk = 1;
         depth = 1;
         forks = 0;
+        inline = 0;
         commits = 0;
         violations = 0;
         faults = 0;
@@ -193,6 +219,32 @@ let loop_stats rt lid =
     in
     Hashtbl.replace rt.stats lid s;
     s
+
+(* The pool, started on first use: a parked worker domain slows the
+   sequential engine (every minor collection synchronises with it), so
+   a run that never speculates starts none. *)
+let pool rt =
+  match rt.pool with
+  | Some p -> p
+  | None ->
+    let p =
+      Pool.create
+        ~on_start:(fun () ->
+          match rt.cfg.timeline with
+          | Some t -> Obs.Timeline.touch t
+          | None -> ())
+        ~jobs:rt.workers ()
+    in
+    rt.pool <- Some p;
+    p
+
+let loop_costs rt lid =
+  match Hashtbl.find_opt rt.costs lid with
+  | Some c -> c
+  | None ->
+    let c = { c_inline = 0.0; c_fill = 0.0; c_exec = 0.0; c_resolve = 0.0 } in
+    Hashtbl.replace rt.costs lid c;
+    c
 
 (* attribute a validation failure to its cause — per-region for memory
    (the compiler's violation candidates store into named regions, so
@@ -236,6 +288,9 @@ let run_chunk rt ~(frame : Interp.frame) ~lid ~n ~fuel view start : outcome =
       | Interp.Seg_stop_block _ -> assert false (* no stop_block given *)
       | Interp.Seg_marker (`Fork id, after) when id = lid ->
         if forks + 1 >= n then Stopped (Forked after, Interp.steps tm, n)
+        else if Specmem.is_rolled_back view then
+          (* killed: nobody waits for the rest *)
+          Fault "rolled back"
         else go (forks + 1) after
       | Interp.Seg_marker (`Kill id, after) when id = lid ->
         Stopped (Exited after, Interp.steps tm, forks + 1)
@@ -254,10 +309,11 @@ let run_chunk rt ~(frame : Interp.frame) ~lid ~n ~fuel view start : outcome =
    iterations is independent of earlier post-fork work.  The view is
    pure prediction — never validated, never merged (the chunks
    re-execute and commit those slices); a wrong prediction surfaces as
-   a validation failure of the chunk that read it.  Returns [false]
-   when prediction says the loop exits (or faults) within the next
-   chunk, i.e. speculation should stop extending. *)
-let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view : bool =
+   a validation failure of the chunk that read it.  Returns [`Full]
+   when all [n] slices forked, [`Exits] when prediction says the loop
+   exits (or returns) within them, and [`Lost] when it faults or
+   re-reaches the header without a fork. *)
+let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view =
   try
     let tm = Interp.make ~max_steps:fuel ~memio:(Specmem.memio view) rt.program in
     let tframe =
@@ -266,7 +322,7 @@ let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view : bool =
     in
     let start = { Interp.cbid = header; cprev = -1; cpos = 0 } in
     let rec round k cur =
-      if k = n then true
+      if k = n then `Full
       else
         match
           Engine.exec_segment rt.eng tm tframe ~stop_block:header
@@ -276,28 +332,29 @@ let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view : bool =
         | Interp.Seg_marker (`Kill id, _) when id = lid ->
           Obs.Log.debug "[runtime] loop %d: backbone predicts exit at round %d/%d"
             lid k n;
-          false
+          `Exits
         | Interp.Seg_marker (_, after) -> round k after
         | Interp.Seg_stop_block _ ->
           Obs.Log.debug
             "[runtime] loop %d: backbone re-reached header without a fork" lid;
-          false (* header reached without a fork *)
+          `Lost
         | Interp.Seg_return _ ->
           Obs.Log.debug "[runtime] loop %d: backbone predicts a return" lid;
-          false
+          `Exits
     in
     round 0 start
   with e ->
     Obs.Log.debug "[runtime] loop %d: backbone fault: %s" lid
       (Printexc.to_string e);
-    false
+    `Lost
 
-(* Serial recovery: replay the chunk's whole span on master state, in
-   the engaged frame, on the master machine (its marker handler is not
-   consulted by [exec_segment], so no re-entry).  Returns where the replay
+(* A chunk's whole span run serially on master state, in the engaged
+   frame, on the master machine (its marker handler is not consulted by
+   [exec_segment], so no re-entry): a round's inline head chunks, and
+   the recovery of a chunk that misspeculated.  Returns where the run
    stopped and how many iterations it retired.  Genuine program errors
    propagate from here exactly as a sequential run would. *)
-let serial_reexec rt ~(frame : Interp.frame) ~lid ~n start : stop * int =
+let run_serial rt ~(frame : Interp.frame) ~lid ~n start : stop * int =
   let rec go forks cur =
     match Engine.exec_segment rt.eng rt.master frame ~watch_markers:true cur with
     | Interp.Seg_return v -> (Returned v, forks + 1)
@@ -324,41 +381,85 @@ let wait_for rt task =
   o
 
 (* ------------------------------------------------------------------ *)
+(* The round planner *)
+
+let max_inline_ratio = 4
+
+(* A round is K worker chunks and m chunks the sequential thread runs
+   inline, spread between them.  Per round the master spends m (inline
+   + fill) on its own chunks — the backbone must predict past them too
+   — and K (fill + resolve) on the workers' chunks, while the workers
+   need ceil(K / workers) exec; the round retires m + K chunks in the
+   longer of the two.  m is the smallest value with the best rate,
+   within [1, max_inline_ratio * K], so every round still speculates;
+   with a cost not yet measured (0.0) it is 1. *)
+let plan_inline ~inline ~fill ~exec ~resolve ~workers ~depth =
+  let k = max 1 depth and w = max 1 workers in
+  if inline <= 0.0 || exec <= 0.0 then 1
+  else begin
+    let worker = float_of_int ((k + w - 1) / w) *. exec in
+    let rate m =
+      let own =
+        (float_of_int m *. (inline +. fill))
+        +. (float_of_int k *. (fill +. resolve))
+      in
+      float_of_int (m + k) /. Float.max own worker
+    in
+    let best = ref 1 in
+    for m = 2 to max_inline_ratio * k do
+      if rate m > rate !best then best := m
+    done;
+    !best
+  end
+
+(* ------------------------------------------------------------------ *)
 (* The per-loop scheduler *)
 
 (* Per-variable runtime value predictor (SVP): a register that failed
    validation ([Stale_reg]) is a loop-carried scalar the backbone
    cannot supply — typically a post-fork accumulator.  The predictor
-   tracks its master value at the end of each fully-resolved chunk and
-   the per-chunk stride between consecutive observations; once a stride
-   is known, spawns inject [last + stride * in_flight] into the new
-   chunk's backbone view ({!Specmem.reg_predict}), and the existing
-   read-log validation checks the prediction for free.  Recovery from a
+   tracks its master value at the end of each retired chunk and the
+   per-chunk stride between consecutive observations; once a stride
+   is known, spawns inject [last + stride * ahead] into the new
+   chunk's backbone view ({!Specmem.reg_predict}), [ahead] being the
+   chunks still to retire before it, and the existing read-log
+   validation checks the prediction for free.  Recovery from a
    mispredict is the ordinary violation path (rollback, serial replay,
    kill cascade), which also re-observes the true value — so the state
    machine is predict → check (validation) → recover (replay+relearn). *)
 type svp_pred = {
   mutable sp_last : Interp.value option;
-      (* master value at the end of the last resolved chunk *)
+      (* master value at the end of the last retired chunk *)
   mutable sp_stride : int64 option;  (* confirmed per-chunk stride *)
 }
 
-(* Runs the whole loop: pipelines up to K = [depth_of] iteration chunks
-   (epochs) onto the worker pool, predicts their loop-carried pre-fork
-   state on the sequential thread (the backbone), commits chunks
-   strictly in sequential order, recovers serially from misspeculation
-   — killing the offending epoch and exactly its in-flight successors,
-   never already-committed work — and returns where the sequential
-   thread resumes.
+(* The chunks still to retire, in sequential order. *)
+type epoch =
+  | Inline  (** run by the sequential thread on master state *)
+  | Spec of task  (** a speculative chunk on the worker pool *)
 
-   With chunk size [n], chunk C_k covers the [n] fork-to-fork spans
-   starting at iteration [k*n]; every chunk starts from the static
-   post-fork cursor [after0] (valid because speculated functions are
-   phi-free, so [cprev] never matters).  C_{k+1}'s view parents the
-   backbone view B_k written while C_k ran; backbone views chain
-   B_k -> B_{k-1} -> ... and are sealed — not merged — once their
-   reader chunk resolves, since master then already holds every value
-   they predicted. *)
+(* Runs the whole loop in rounds: a round is K = [depth_of] speculative
+   chunks (epochs) on the worker pool and m chunks the sequential
+   thread runs itself on master state, spread between them.  Before
+   each worker chunk the sequential thread queues the inline chunks
+   ahead of it, fills the backbone past them and spawns the chunk; it
+   then runs the inline chunks as they come up, and validates and
+   commits the worker chunks strictly in sequential order, recovering
+   serially from misspeculation — killing the offending epoch and
+   exactly its in-flight successors, never already-committed work —
+   and returns where the sequential thread resumes.  Each resolved
+   worker chunk frees a slot, which the next round's chunks take at
+   once, so the workers never wait on a round barrier.
+
+   With chunk size [n], every chunk covers [n] fork-to-fork spans and
+   starts from the static post-fork cursor [after0] (valid because
+   speculated functions are phi-free, so [cprev] never matters).  A
+   worker chunk's view parents the backbone view predicting every span
+   between the end of the chain and the chunk's start (the previous
+   worker chunk's span, plus the inline chunks queued ahead of it);
+   backbone views chain B_k -> B_{k-1} -> ... and are sealed — not
+   merged — once their reader chunk resolves, since master then
+   already holds every value they predicted. *)
 let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
     (after0 : Interp.cursor) : Interp.marker_action =
   let t0 = Unix.gettimeofday () in
@@ -367,9 +468,10 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
   let n = chunk_size rt.cfg spec in
   let depth = depth_of rt.cfg spec in
   (* a chunk (and a backbone fill) is n iterations of speculative work *)
-  let fuel = min rt.cfg.max_steps (rt.cfg.spec_fuel * n) in
+  let fuel chunks = min rt.cfg.max_steps (rt.cfg.spec_fuel * n * chunks) in
   let tl = rt.cfg.timeline in
   let st = loop_stats rt lid in
+  let costs = loop_costs rt lid in
   st.chunk <- n;
   st.depth <- depth;
   let master =
@@ -381,11 +483,17 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
       m_out = rt.store.Interp.sout;
     }
   in
-  let pending : task Queue.t = Queue.create () in
+  let pending : epoch Queue.t = Queue.create () in
+  let in_flight = ref 0 in (* Spec epochs in [pending] *)
+  (* inline chunks ahead of each worker chunk the open round has still
+     to spawn *)
+  let round = ref [] in
   (* tail of the backbone view chain: chunks see all earlier pre-fork
      (predictor) writes, and no post-fork writes — that independence IS
      the speculation *)
   let bchain = ref None in
+  (* chunks between the end of the chain and the next spawn's start *)
+  let owed = ref 0 in
   let consec = ref 0 in
   let filling = ref true in
   let finish = ref None in
@@ -402,8 +510,8 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
       Hashtbl.replace st.svp_vars vid s;
       s
   in
-  (* predictions for the chunk about to spawn, [in_flight] chunks ahead
-     of the last resolved one: last + stride * in_flight *)
+  (* predictions for the chunk about to spawn, behind every chunk still
+     to retire: last + stride * ahead *)
   let svp_predictions () =
     if Hashtbl.length svp = 0 then []
     else
@@ -416,9 +524,9 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
           | _ -> acc)
         svp []
   in
-  (* relearn after the head resolved: master now holds the true value
-     at the end of its span.  Only full chunks observe a stride (a
-     partial chunk ends the loop anyway); the stride confirms after one
+  (* relearn after the head retired: master now holds the true value at
+     the end of its span.  Only full chunks observe a stride (a partial
+     chunk ends the loop anyway); the stride confirms after one
      observation, so an accumulator loop converges within two failed
      chunks — under the despeculation valve's default of three. *)
   let svp_learn ~full =
@@ -461,43 +569,38 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
           t.tpreds
       | `Stale _ | `Fault _ -> ()
   in
-  let spawn_chunk ~bv =
+  let spawn_chunk bv =
     let tf0 = tl_now tl in
     (* inject value predictions into the backbone view the chunk reads
-       through (never into a raw-master chunk: nothing to write to) *)
-    let preds =
-      match bv with
-      | None -> []
-      | Some bv ->
-        let ps = svp_predictions () in
-        if ps <> [] then begin
-          let tp0 = tl_now tl in
-          List.iter
-            (fun (vid, x) ->
-              Specmem.reg_predict bv vid x;
-              (svp_var vid).sv_predicts <- (svp_var vid).sv_predicts + 1;
-              Obs.Metrics.inc m_svp_predicts)
-            ps;
-          tl_rec tl Obs.Timeline.Svp ~lid tp0
-        end;
-        ps
-    in
-    let view = Specmem.create ?parent:bv master in
+       through *)
+    let preds = svp_predictions () in
+    if preds <> [] then begin
+      let tp0 = tl_now tl in
+      List.iter
+        (fun (vid, x) ->
+          Specmem.reg_predict bv vid x;
+          (svp_var vid).sv_predicts <- (svp_var vid).sv_predicts + 1;
+          Obs.Metrics.inc m_svp_predicts)
+        preds;
+      tl_rec tl Obs.Timeline.Svp ~lid tp0
+    end;
+    let view = Specmem.create ~parent:bv master in
     let t =
       { tview = view; tbv = bv; tstart = after0; tpreds = preds;
         tstatus = Pending; texec_s = 0.0 }
     in
-    Queue.push t pending;
+    Queue.push (Spec t) pending;
+    incr in_flight;
     st.forks <- st.forks + 1;
     Obs.Metrics.inc m_forks;
-    Pool.submit rt.pool (fun () ->
+    Pool.submit (pool rt) (fun () ->
         (* a chunk the kill cascade rolled back while it was still
            queued has left [pending]: nobody waits for it, so it must
            not hold a worker ahead of the respawned head *)
         if not (Specmem.is_rolled_back view) then begin
           (* the Exec span lands on the worker domain's own lane *)
           let e0 = Unix.gettimeofday () in
-          let o = run_chunk rt ~frame ~lid ~n ~fuel view after0 in
+          let o = run_chunk rt ~frame ~lid ~n ~fuel:(fuel 1) view after0 in
           let e1 = Unix.gettimeofday () in
           (match tl with
           | Some tline ->
@@ -511,25 +614,74 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
         end);
     tl_rec tl Obs.Timeline.Fork ~lid tf0
   in
-  (* run one backbone fill on the sequential thread, then spawn the
-     chunk that reads through it *)
+  (* a new round: the m inline chunks the plan gives it, spread over
+     the round's [depth] worker chunks, the first taking at least one *)
+  let open_round () =
+    let per_chunk c = c *. float_of_int n in
+    let m =
+      plan_inline ~inline:(per_chunk costs.c_inline)
+        ~fill:(per_chunk costs.c_fill) ~exec:(per_chunk costs.c_exec)
+        ~resolve:costs.c_resolve ~workers:rt.workers ~depth
+    in
+    Obs.Log.debug "[runtime] loop %d: round of %d inline and %d worker chunks"
+      lid m depth;
+    let upto j = ((j * m) + depth - 1) / depth in
+    round := List.init depth (fun j -> upto (j + 1) - upto j)
+  in
+  (* queue the inline chunks ahead of the next worker chunk, run one
+     backbone fill on the sequential thread over every span between
+     the end of the chain and that chunk's start, then spawn the chunk
+     reading through it *)
   let extend () =
-    let tb0 = tl_now tl in
+    if !round = [] then open_round ();
+    let ahead = List.hd !round in
+    round := List.tl !round;
+    for _ = 1 to ahead do
+      Queue.push Inline pending
+    done;
+    owed := !owed + ahead;
+    let spans = !owed * n in
+    let tb0 = Unix.gettimeofday () in
     let bv = Specmem.create ?parent:!bchain master in
-    let complete = run_backbone rt ~frame ~header ~lid ~n ~fuel bv in
-    tl_rec tl Obs.Timeline.Chunk ~lid tb0;
+    let fill =
+      run_backbone rt ~frame ~header ~lid ~n:spans ~fuel:(fuel !owed) bv
+    in
+    let tb1 = Unix.gettimeofday () in
+    (match tl with
+    | Some tline ->
+      Obs.Timeline.record tline Obs.Timeline.Chunk ~lid ~t0:tb0 ~t1:tb1
+    | None -> ());
+    (match fill with
+    | `Full ->
+      costs.c_fill <- ewma costs.c_fill ((tb1 -. tb0) /. float_of_int spans)
+    | `Exits | `Lost -> filling := false);
     bchain := Some bv;
+    owed := 1;
     (* spawn even past a predicted exit: the chunk stops at the loop's
-       kill (or return) on its own, so the exit is itself speculated *)
-    spawn_chunk ~bv:(Some bv);
-    if not complete then filling := false
+       kill (or return) on its own, so the exit is itself speculated; a
+       prediction that lost track shows in the chunk's validation, which
+       feeds the despeculation valve *)
+    spawn_chunk bv
+  in
+  (* keep [depth] worker chunks in flight *)
+  let top_up () =
+    if Queue.is_empty pending then begin
+      (* master sits where the next chunk starts: prediction restarts
+         from its state, with a new round *)
+      bchain := None;
+      owed := 0;
+      round := []
+    end;
+    while !filling && !in_flight < depth do
+      extend ()
+    done
   in
   (* kill cascade: discard every in-flight successor epoch — exactly
      the epochs ≥ the offender (the offender's own view was already
-     rolled back by the resolution), never committed work — and reset
-     the backbone chain so re-speculation restarts from master state *)
+     rolled back by the resolution), never committed work — so
+     re-speculation restarts from master state *)
   let kill_pending () =
-    let killed = Queue.length pending in
+    let killed = !in_flight in
     if killed > 0 then begin
       st.kills <- st.kills + killed;
       Obs.Metrics.add m_kills killed;
@@ -538,29 +690,88 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
          reading their buffers *)
       let tk0 = tl_now tl in
       Queue.iter
-        (fun t ->
-          Specmem.rollback t.tview;
-          match t.tbv with
-          | Some bv when not (Specmem.is_committed bv) -> Specmem.rollback bv
-          | _ -> ())
+        (function
+          | Inline -> ()
+          | Spec t ->
+            Specmem.rollback t.tview;
+            if not (Specmem.is_committed t.tbv) then Specmem.rollback t.tbv)
         pending;
-      Queue.clear pending;
       tl_rec tl Obs.Timeline.Kill ~lid tk0
     end;
-    bchain := None
+    Queue.clear pending;
+    in_flight := 0
   in
-  spawn_chunk ~bv:None;
-  while !finish = None && not (Queue.is_empty pending) do
-    while !filling && Queue.length pending < depth do
-      extend ()
-    done;
-    let head = Queue.pop pending in
+  (* the head retired [retired] iterations and stopped at [stop]; it is
+     [clean] unless it was replayed in place of a failed chunk *)
+  let retire ~clean stop retired =
+    Obs.Log.debug "[runtime] loop %d: head %s: retired %d iter(s)" lid
+      (match stop with
+      | Forked _ -> if clean then "committed" else "replayed"
+      | Exited _ -> "exited"
+      | Returned _ -> "returned")
+      retired;
+    st.iters <- st.iters + retired;
+    (* master holds the true post-head register file now — observe
+       strides at chunk granularity *)
+    svp_learn
+      ~full:(retired = n && match stop with Forked _ -> true | _ -> false);
+    (* did the head end the way downstream speculation assumed?  every
+       downstream chunk starts from the static [after0], so a head that
+       forked its [n]th time — clean, or replayed to the same static
+       cursor — upholds them *)
+    match stop with
+    | Forked after
+      when clean
+           || after.Interp.cbid = after0.Interp.cbid
+              && after.Interp.cpos = after0.Interp.cpos ->
+      last_pos := after;
+      (* a misspeculated head poisons every in-flight successor — they
+         chained through its backbone's now-refuted state — so the
+         cascade kills exactly the epochs after it (committed work is
+         untouched); the next round restarts from the replayed master
+         state, which sits precisely at the fork the dead epochs
+         assumed *)
+      if not clean then begin
+        kill_pending ();
+        if not (Hashtbl.mem rt.despec lid) then filling := true
+      end
+    | _ ->
+      (* control diverged (or the loop exited): everything speculated
+         beyond this point is dead (abandoned workers finish into dead
+         views), and the loop is over *)
+      kill_pending ();
+      finish :=
+        Some
+          (match stop with
+          | Returned v -> Interp.Return_now v
+          | Exited c | Forked c -> Interp.Jump_to c)
+  in
+  let run_inline () =
+    let ti0 = Unix.gettimeofday () in
+    let stop, retired = run_serial rt ~frame ~lid ~n after0 in
+    let ti1 = Unix.gettimeofday () in
+    (match tl with
+    | Some tline ->
+      Obs.Timeline.record tline Obs.Timeline.Inline ~lid ~t0:ti0 ~t1:ti1
+    | None -> ());
+    st.inline <- st.inline + 1;
+    Obs.Metrics.inc m_inline;
+    if retired > 0 then
+      costs.c_inline <-
+        ewma costs.c_inline ((ti1 -. ti0) /. float_of_int retired);
+    retire ~clean:true stop retired
+  in
+  let resolve head =
     let outcome = wait_for rt head in
+    (match outcome with
+    | Stopped (_, _, iters) when iters > 0 ->
+      costs.c_exec <- ewma costs.c_exec (head.texec_s /. float_of_int iters)
+    | _ -> ());
     (* resolve the head to its definitive sequential stop *)
+    let tv0 = Unix.gettimeofday () in
     let resolution =
       match outcome with
       | Stopped (stop, steps, iters) -> (
-        let tv0 = tl_now tl in
         let v = Specmem.validate head.tview in
         tl_rec tl Obs.Timeline.Validate ~lid tv0;
         match v with
@@ -582,6 +793,7 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
         let tc0 = tl_now tl in
         Specmem.commit head.tview;
         tl_rec tl Obs.Timeline.Commit ~lid tc0;
+        costs.c_resolve <- ewma costs.c_resolve (Unix.gettimeofday () -. tv0);
         rt.committed_steps <- rt.committed_steps + steps;
         (* committed speculative work counts against the same budget a
            sequential run would have spent on it — otherwise a
@@ -594,11 +806,7 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
                (Printf.sprintf "step limit exceeded (%d)" rt.cfg.max_steps));
         st.commits <- st.commits + 1;
         Obs.Metrics.inc m_commits;
-        (* a master-fed head (first epoch, or the respawn after a kill
-           cascade) reads only true state and is guaranteed clean, so
-           its commit is no evidence speculation works — only a commit
-           of an epoch that read through backbones resets the valve *)
-        (match head.tbv with Some _ -> consec := 0 | None -> ());
+        consec := 0;
         (stop, true, iters)
       | `Stale _ | `Fault _ ->
         let tr0 = tl_now tl in
@@ -620,28 +828,14 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
         st.serial_reexecs <- st.serial_reexecs + 1;
         Obs.Metrics.inc m_serial;
         let tx0 = tl_now tl in
-        let stop, iters = serial_reexec rt ~frame ~lid ~n head.tstart in
+        let stop, iters = run_serial rt ~frame ~lid ~n head.tstart in
         tl_rec tl Obs.Timeline.Reexec ~lid tx0;
         (stop, false, iters)
     in
-    Obs.Log.debug "[runtime] loop %d: head %s: retired %d iter(s)" lid
-      (match stop with
-      | Forked _ -> if clean then "committed" else "replayed"
-      | Exited _ -> "exited"
-      | Returned _ -> "returned")
-      retired;
-    st.iters <- st.iters + retired;
     if retired > 0 then
       Obs.Metrics.observe h_iter (head.texec_s /. float_of_int retired);
-    (* master holds the true post-head register file now (commit merged
-       it, or the serial replay wrote it) — observe strides at chunk
-       granularity *)
-    svp_learn
-      ~full:(retired = n && match stop with Forked _ -> true | _ -> false);
     (* master now holds everything the head's backbone predicted *)
-    (match head.tbv with
-    | Some bv when not (Specmem.is_rolled_back bv) -> Specmem.seal bv
-    | _ -> ());
+    if not (Specmem.is_rolled_back head.tbv) then Specmem.seal head.tbv;
     if !consec >= rt.cfg.despec_after && not (Hashtbl.mem rt.despec lid)
     then begin
       Hashtbl.replace rt.despec lid ();
@@ -652,56 +846,30 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
         lid !consec;
       filling := false
     end;
-    (* did the head end the way downstream speculation assumed?  every
-       downstream chunk starts from the static [after0], so a head that
-       forked its [n]th time — committed, or replayed to the same
-       static cursor — upholds them *)
-    let downstream_ok =
-      match stop with
-      | Forked after ->
-        clean
-        || after.Interp.cbid = after0.Interp.cbid
-           && after.Interp.cpos = after0.Interp.cpos
-      | _ -> false
-    in
-    if downstream_ok then begin
-      last_pos :=
-        (match stop with
-        | Forked c | Exited c -> c
-        | Returned _ -> !last_pos);
-      (* a misspeculated head poisons every in-flight successor — they
-         chained through its backbone's now-refuted state — so the
-         cascade kills exactly the epochs after it (committed work is
-         untouched) and re-speculates from the replayed master state,
-         which sits precisely at the fork the dead epochs assumed *)
-      if not clean then begin
-        kill_pending ();
-        if not (Hashtbl.mem rt.despec lid) then begin
-          filling := true;
-          spawn_chunk ~bv:None
-        end
-      end
-    end
-    else begin
-      (* control diverged (or the loop exited): everything speculated
-         beyond this point is dead (abandoned workers finish into dead
-         views), and the loop is over *)
-      kill_pending ();
-      finish :=
-        Some
-          (match stop with
-          | Returned v -> Interp.Return_now v
-          | Exited c | Forked c -> Interp.Jump_to c)
-    end
-  done;
+    retire ~clean stop retired
+  in
+  let rec go () =
+    top_up ();
+    match Queue.take_opt pending with
+    | None -> ()
+    | Some epoch ->
+      (match epoch with
+      | Inline -> run_inline ()
+      | Spec head ->
+        decr in_flight;
+        resolve head);
+      if !finish = None then go ()
+  in
+  go ();
   st.wall <- st.wall +. (Unix.gettimeofday () -. t0);
   match !finish with
   | Some action -> action
   | None ->
-    (* drained cleanly (despeculation wind-down): resume where the last
-       committed chunk left off; if that is just past the fork, the
-       master executes sequentially to the next SPT_FORK, whose handler
-       sees the despec flag and proceeds *)
+    (* drained cleanly (despeculation, or prediction stopped
+       extending): resume where the last retired chunk left off; if that
+       is just past the fork, the master executes sequentially to the
+       next SPT_FORK, whose handler proceeds (despeculated) or starts a
+       new entry *)
     Interp.Jump_to !last_pos
 
 (* ------------------------------------------------------------------ *)
@@ -718,9 +886,10 @@ let func_has_phis (f : Ir.func) =
 type result = {
   output : string;
   return_value : Interp.value option;
-  heap_digest : string;
+  heap_digest : string Lazy.t;
   dynamic_instrs : int;
   wall_time : float;
+  workers : int;
   stats : (int * loop_stats) list;
   oracle : [ `Match | `Mismatch of string | `Skipped ];
 }
@@ -765,7 +934,8 @@ let stats_json (r : result) =
     [
       ("wall_time_s", J.Float r.wall_time);
       ("dynamic_instrs", J.Int r.dynamic_instrs);
-      ("heap_digest", J.Str r.heap_digest);
+      ("workers", J.Int r.workers);
+      ("heap_digest", J.Str (Lazy.force r.heap_digest));
       ( "oracle",
         J.Str
           (match r.oracle with
@@ -782,6 +952,7 @@ let stats_json (r : result) =
                    ("chunk", J.Int s.chunk);
                    ("depth", J.Int s.depth);
                    ("forks", J.Int s.forks);
+                   ("inline", J.Int s.inline);
                    ("commits", J.Int s.commits);
                    ("violations", J.Int s.violations);
                    ("faults", J.Int s.faults);
@@ -869,18 +1040,14 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
   let tc0 = tl_now cfg.timeline in
   let eng = Engine.compile master in
   tl_rec cfg.timeline Obs.Timeline.Compile ~lid:(-1) tc0;
+  let workers = workers_for cfg.jobs in
   let rt =
     {
       program;
       cfg;
       eng;
-      pool =
-        Pool.create
-          ~on_start:(fun () ->
-            match cfg.timeline with
-            | Some t -> Obs.Timeline.touch t
-            | None -> ())
-          ~jobs:cfg.jobs ();
+      pool = None;
+      workers;
       store;
       master;
       mu = Mutex.create ();
@@ -888,32 +1055,37 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
       specs;
       despec = Hashtbl.create 4;
       stats = Hashtbl.create 4;
+      costs = Hashtbl.create 4;
       region_of;
       committed_steps = 0;
     }
   in
-  Interp.set_marker_handler master
-    (Some
-       (fun _st frame marker after ->
-         match marker with
-         | `Kill _ -> Interp.Proceed
-         | `Fork id -> (
-           match Hashtbl.find_opt rt.specs id with
-           | Some spec
-             when (not (Hashtbl.mem rt.despec id))
-                  && String.equal frame.Interp.func.Ir.fname spec.ls_fname ->
-             run_spt_loop rt frame spec after
-           | _ -> Interp.Proceed)));
+  (* with no loop to speculate the markers stay sequential no-ops, which
+     the engine runs without calling out *)
+  if Hashtbl.length specs > 0 then
+    Interp.set_marker_handler master
+      (Some
+         (fun _st frame marker after ->
+           match marker with
+           | `Kill _ -> Interp.Proceed
+           | `Fork id -> (
+             match Hashtbl.find_opt rt.specs id with
+             | Some spec
+               when (not (Hashtbl.mem rt.despec id))
+                    && String.equal frame.Interp.func.Ir.fname spec.ls_fname ->
+               run_spt_loop rt frame spec after
+             | _ -> Interp.Proceed)));
   let t0 = Unix.gettimeofday () in
   let return_value =
     Fun.protect
-      ~finally:(fun () -> Pool.shutdown rt.pool)
+      ~finally:(fun () -> Option.iter Pool.shutdown rt.pool)
       (fun () ->
         Engine.call eng master (Ir.func_of_program program "main") [] [])
   in
   let wall_time = Unix.gettimeofday () -. t0 in
   let output = Buffer.contents store.Interp.sout in
-  let digest = heap_digest store in
+  (* marshalling all of memory is not free: only readers pay for it *)
+  let digest = lazy (heap_digest store) in
   let oracle =
     if not cfg.oracle then `Skipped
     else begin
@@ -924,7 +1096,7 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
              (String.length output) (String.length sout))
       else if not (opt_value_eq sret return_value) then
         `Mismatch "return value differs"
-      else if not (String.equal sdigest digest) then
+      else if not (String.equal sdigest (Lazy.force digest)) then
         `Mismatch "final heap differs"
       else `Match
     end
@@ -935,6 +1107,7 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
     heap_digest = digest;
     dynamic_instrs = Interp.steps master + rt.committed_steps;
     wall_time;
+    workers = (if Option.is_some rt.pool then workers else 0);
     stats =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) rt.stats []);

@@ -9,33 +9,35 @@
     pre-fork slice of the next, [chunk] times — executed sequentially
     against a single {!Specmem.view}, so view creation, validation and
     commit are paid once per chunk instead of once per iteration.
-    Chunks run on the worker pool; the sequential thread meanwhile
-    predicts the loop-carried pre-fork state the {e next} chunk starts
-    from by running only the pre-fork slices (the {e backbone}) into
-    predictor views the chunks read through — the assumption, exactly
-    the paper's §3 execution model, being that pre-fork work of later
-    iterations is independent of earlier post-fork work.  Chunks are
-    validated and committed strictly in order; on a read violation or
-    a speculative fault the chunk is killed and its whole span is
-    re-executed serially on master state (a mispredicted backbone
-    surfaces this way too — prediction can cost time, never
+    The loop runs in {e rounds}: speculative chunks run on the worker
+    pool, while the sequential thread runs the chunks between them
+    itself, on master state, as the paper's main thread does (see
+    {!plan_inline}).  Before spawning a chunk, the sequential thread
+    predicts the loop-carried pre-fork state it starts from by running
+    only the pre-fork slices (the {e backbone}) into predictor views
+    the chunks read through — the assumption, exactly the paper's §3
+    execution model, being that pre-fork work of later iterations is
+    independent of earlier post-fork work.  Chunks retire strictly in
+    order; a speculative chunk is validated and committed, and on a
+    read violation or a speculative fault it is killed and its whole
+    span is re-executed serially on master state (a mispredicted
+    backbone surfaces this way too — prediction can cost time, never
     correctness).
 
-    Up to [depth] chunks (epochs) are in flight at once — K-deep
-    DOACROSS pipelining.  A misspeculated head cascades: every
+    Up to [depth] speculative chunks (epochs) are in flight at once —
+    K-deep DOACROSS pipelining.  A misspeculated head cascades: every
     in-flight successor chained through its refuted backbone state, so
     the cascade kills exactly the epochs after the offender (committed
-    work is never touched) and re-speculates from the replayed master
-    state.  Registers the backbone demonstrably cannot supply (post-
-    fork loop-carried scalars) enter a per-loop software value
-    predictor on their first violation: the runtime learns their
-    per-chunk stride from committed master states and injects
-    [last + stride * in_flight] into the backbone view each new chunk
-    reads through; a wrong prediction is caught by the reader's
-    ordinary read-log validation.  A loop that misspeculates
-    [despec_after] times in a row — guaranteed-clean commits of
-    master-fed respawns don't reset the count — is de-speculated for
-    the rest of the run. *)
+    work is never touched) and the next round starts from the replayed
+    master state, with an inline chunk.  Registers the backbone
+    demonstrably cannot supply (post-fork loop-carried scalars) enter a
+    per-loop software value predictor on their first violation: the
+    runtime learns their per-chunk stride from retired master states
+    and injects [last + stride * ahead] into the backbone view each new
+    chunk reads through; a wrong prediction is caught by the reader's
+    ordinary read-log validation.  A loop whose speculative chunks
+    misspeculate [despec_after] times in a row is de-speculated for the
+    rest of the run. *)
 
 module Interp = Spt_interp.Interp
 
@@ -56,7 +58,9 @@ type loop_spec = {
 }
 
 type config = {
-  jobs : int;  (** worker domains (≥ 1) *)
+  jobs : int;
+      (** worker domains wanted (≥ 1); the pool holds {!workers_for}
+          [jobs] of them, since the sequential thread computes too *)
   window : int;  (** max speculative chunks in flight *)
   despec_after : int;  (** consecutive misspeculations before the valve *)
   spec_fuel : int;  (** step budget of one speculative {e iteration};
@@ -98,6 +102,30 @@ val chunk_size : config -> loop_spec -> int
     [window]. *)
 val depth_of : config -> loop_spec -> int
 
+(** Worker domains a run with [jobs] starts once a loop speculates:
+    [max 1 (min jobs (cores - 1))], leaving a core to the sequential
+    thread, which runs each round's head chunks itself. *)
+val workers_for : int -> int
+
+(** [plan_inline ~inline ~fill ~exec ~resolve ~workers ~depth] is the
+    number m of chunks the sequential thread runs itself, on master
+    state, between a round's [depth] worker chunks.  Costs are seconds
+    per chunk: [inline] the master running a chunk, [fill] the backbone
+    predicting past one, [exec] a worker running one on its view,
+    [resolve] validating and committing one.  m balances the master's
+    share of the round against the workers' and maximises chunks
+    retired per second; it is at least 1, at most [4 * depth] so every
+    round still speculates, and 1 while [inline] or [exec] is unknown
+    ([<= 0.0]). *)
+val plan_inline :
+  inline:float ->
+  fill:float ->
+  exec:float ->
+  resolve:float ->
+  workers:int ->
+  depth:int ->
+  int
+
 (** Per-variable software-value-prediction counters. *)
 type svp_stats = {
   mutable sv_predicts : int;  (** predictions injected *)
@@ -106,12 +134,16 @@ type svp_stats = {
 }
 
 (** Mutable per-loop counters, in the paper's §3 vocabulary.  [forks],
-    [commits], [violations], [faults], [kills] and [serial_reexecs]
-    count {e chunks}; [iters] counts retired iterations. *)
+    [inline], [commits], [violations], [faults], [kills] and
+    [serial_reexecs] count {e chunks}; [iters] counts retired
+    iterations.  Rates (kill, re-execution, violation) are per fork:
+    inline chunks are never validated. *)
 type loop_stats = {
   mutable chunk : int;  (** iterations per speculative fork *)
   mutable depth : int;  (** effective speculation depth used *)
   mutable forks : int;  (** speculative chunks started *)
+  mutable inline : int;
+      (** chunks the sequential thread ran itself on master state *)
   mutable commits : int;  (** chunks validated and committed *)
   mutable violations : int;  (** validation failures *)
   mutable faults : int;  (** speculative runtime faults *)
@@ -135,9 +167,11 @@ type loop_stats = {
 type result = {
   output : string;
   return_value : Interp.value option;
-  heap_digest : string;  (** of final memory + RNG state *)
+  heap_digest : string Lazy.t;
+      (** of final memory + RNG state; computed when first forced *)
   dynamic_instrs : int;  (** committed work only (retries excluded) *)
   wall_time : float;
+  workers : int;  (** worker domains started; 0 when nothing speculated *)
   stats : (int * loop_stats) list;  (** per loop id *)
   oracle : [ `Match | `Mismatch of string | `Skipped ];
 }
@@ -165,7 +199,9 @@ val stats_json : result -> Spt_obs.Json.t
 
 (** Execute [main].  Loops whose function still contains phis are
     silently despeculated (the runtime targets post-SSA-destruction
-    code).  The worker pool lives for the duration of the call.
+    code).  The worker pool starts with the first worker chunk, so a
+    run that never speculates starts no domain, and is shut down when
+    the call returns.
     @raise Interp.Runtime_error as the sequential interpreter does
     (speculative faults do not escape — they trigger re-execution). *)
 val run :

@@ -1,9 +1,10 @@
 (** Speculative runtime tests: the domain pool, the speculative store
     buffer (validation, rollback, view chains), the de-speculation
-    valve, and the headline acceptance criteria — sequential
-    equivalence of every workload under jobs ∈ {1, 2, 4} (including a
-    misspeculation stress program) and outcome determinism of repeated
-    parallel runs. *)
+    valve, the round planner, the sequential thread's inline chunks
+    and the pool's lifetime, and the headline acceptance criteria —
+    sequential equivalence of every workload under jobs ∈ {1, 2, 4}
+    (including a misspeculation stress program) and outcome
+    determinism of repeated parallel runs. *)
 
 open Spt_runtime
 module Interp = Spt_interp.Interp
@@ -772,8 +773,8 @@ let test_forced_chunk () =
       let r = run_spt ~chunk ~jobs:2 spt in
       check_oracle (Printf.sprintf "chunk%d" chunk) r;
       Alcotest.(check string) "same output" base.Runtime.output r.Runtime.output;
-      Alcotest.(check string) "same heap" base.Runtime.heap_digest
-        r.Runtime.heap_digest;
+      Alcotest.(check string) "same heap" (Lazy.force base.Runtime.heap_digest)
+        (Lazy.force r.Runtime.heap_digest);
       List.iter
         (fun (_, (s : Runtime.loop_stats)) ->
           Alcotest.(check int) "forced chunk recorded" chunk s.Runtime.chunk)
@@ -800,8 +801,8 @@ let test_outcome_determinism () =
   let r1 = run_spt ~jobs:4 spt in
   let r2 = run_spt ~jobs:4 spt in
   Alcotest.(check string) "same output" r1.Runtime.output r2.Runtime.output;
-  Alcotest.(check string) "same final heap" r1.Runtime.heap_digest
-    r2.Runtime.heap_digest;
+  Alcotest.(check string) "same final heap" (Lazy.force r1.Runtime.heap_digest)
+    (Lazy.force r2.Runtime.heap_digest);
   check_oracle "determinism run 1" r1;
   check_oracle "determinism run 2" r2
 
@@ -823,6 +824,213 @@ let test_run_parallel_measures () =
     (fun key ->
       Alcotest.(check bool) (key ^ " in report") true (contains s key))
     [ "forks"; "commits"; "kills"; "violations"; "despeculations"; "runtime" ]
+
+(* ------------------------------------------------------------------ *)
+(* Rounds: inline head chunks on the sequential thread *)
+
+(* The planner balances the master's share of a round (m inline chunks
+   plus a fill, a validation and a commit per worker chunk) against the
+   workers' (ceil(K / workers) chunk executions).  Costs are seconds per
+   chunk. *)
+let test_plan_inline_table () =
+  let plan ?(fill = 0.05) ?(resolve = 0.02) ?(workers = 1) ~inline ~exec depth =
+    Runtime.plan_inline ~inline ~fill ~exec ~resolve ~workers ~depth
+  in
+  List.iter
+    (fun (label, want, got) -> Alcotest.(check int) label want got)
+    [
+      (* a worker 3x slower than the master: the master runs 2-3 chunks
+         in the time the worker runs one *)
+      ("slow worker, depth 1", 3, plan ~inline:1.0 ~exec:3.0 1);
+      ("slow worker, depth 2", 6, plan ~inline:1.0 ~exec:3.0 2);
+      ("slow worker, two workers, depth 2", 3,
+        plan ~workers:2 ~inline:1.0 ~exec:3.0 2);
+      (* a worker as fast as the master, or faster: one inline chunk *)
+      ("equal worker", 1, plan ~inline:1.0 ~exec:1.0 1);
+      ("fast worker", 1, plan ~inline:1.0 ~exec:0.5 1);
+      ("fast workers", 1, plan ~workers:4 ~inline:1.0 ~exec:0.5 4);
+      (* one fast worker behind four chunks is slow per round *)
+      ("fast worker, depth 4", 2, plan ~inline:1.0 ~exec:0.5 4);
+      (* unmeasured costs *)
+      ("no inline sample", 1, plan ~inline:0.0 ~exec:3.0 2);
+      ("no worker sample", 1, plan ~inline:1.0 ~exec:0.0 2);
+      (* an absurdly slow worker: the bound keeps every round speculating *)
+      ("bounded, depth 1", 4, plan ~inline:1.0 ~exec:1000.0 1);
+      ("bounded, depth 4", 16, plan ~inline:1.0 ~exec:1000.0 4);
+    ];
+  let costs = [ 0.0; 1e-6; 0.5; 1.0; 2.5; 10.0; 1e6 ] in
+  List.iter
+    (fun depth ->
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun inline ->
+              List.iter
+                (fun exec ->
+                  List.iter
+                    (fun fill ->
+                      let m =
+                        Runtime.plan_inline ~inline ~fill ~exec ~resolve:fill
+                          ~workers ~depth
+                      in
+                      if m < 1 || m > 4 * depth then
+                        Alcotest.failf
+                          "m = %d out of [1, %d] (inline %g exec %g fill %g \
+                           workers %d)"
+                          m (4 * depth) inline exec fill workers)
+                    costs)
+                costs)
+            costs)
+        [ 1; 2; 3; 8 ])
+    [ 1; 2; 4; 8 ]
+
+let clean_src =
+  {|
+int n = 6000;
+int a[6000];
+int b[6000];
+void main() {
+  int i;
+  for (i = 0; i < n; i = i + 1) { a[i] = i * 7 + 3; }
+  for (i = 0; i < n; i = i + 1) {
+    int x = a[i];
+    b[i] = x * x - (x & 15);
+  }
+  print_int(b[0] + b[2999] + b[5999]);
+}
+|}
+
+let test_rounds_run_inline () =
+  let spt = Pipeline.compile_spt Config.best clean_src in
+  List.iter
+    (fun jobs ->
+      let r = run_spt ~jobs spt in
+      let name = Printf.sprintf "clean j%d" jobs in
+      check_oracle name r;
+      Alcotest.(check bool)
+        (name ^ ": the master ran head chunks") true
+        (total (fun s -> s.Runtime.inline) r.Runtime.stats > 0);
+      Alcotest.(check bool)
+        (name ^ ": workers ran chunks") true
+        (total (fun s -> s.Runtime.forks) r.Runtime.stats > 0);
+      Alcotest.(check int)
+        (name ^ ": one core left to the master")
+        (Runtime.workers_for jobs) r.Runtime.workers)
+    [ 1; 2; 4 ]
+
+(* [hist] cells recur every 64 iterations, so consecutive chunks always
+   share cells: the inline head writes them while the workers read
+   them.  Consecutive iterations never share one, which is what gets
+   the loop selected. *)
+let dependent_src =
+  {|
+int n = 4000;
+int a[4000];
+int hist[64];
+void main() {
+  int i;
+  for (i = 0; i < n; i = i + 1) { a[i] = (i * 7) & 63; }
+  for (i = 0; i < n; i = i + 1) {
+    int k = a[i];
+    hist[k] = hist[k] * 3 + i;
+  }
+  int s = 0;
+  for (i = 0; i < 64; i = i + 1) { s = s + (hist[i] & 1023); }
+  print_int(s);
+}
+|}
+
+let test_inline_head_races_workers () =
+  let spt = Pipeline.compile_spt Config.best dependent_src in
+  Alcotest.(check bool) "dependent loop selected" true
+    (List.length spt.Pipeline.spt_loops >= 2);
+  let seq =
+    Runtime.run ~config:(rt_config 2) ~loops:[] spt.Pipeline.program
+  in
+  List.iter
+    (fun jobs ->
+      let r = run_spt ~despec_after:1_000_000 ~jobs spt in
+      let name = Printf.sprintf "dependent j%d" jobs in
+      check_oracle name r;
+      Alcotest.(check string) (name ^ ": output") seq.Runtime.output
+        r.Runtime.output;
+      Alcotest.(check string) (name ^ ": heap")
+        (Lazy.force seq.Runtime.heap_digest)
+        (Lazy.force r.Runtime.heap_digest);
+      Alcotest.(check bool) (name ^ ": inline and worker chunks") true
+        (total (fun s -> s.Runtime.inline) r.Runtime.stats > 0
+        && total (fun s -> s.Runtime.forks) r.Runtime.stats > 0))
+    [ 1; 2; 4 ]
+
+let test_no_loops_no_workers () =
+  let spt = Pipeline.compile_spt Config.best stress_src in
+  let timeline = Spt_obs.Timeline.create () in
+  let r =
+    Runtime.run ~config:(rt_config ~timeline 4) ~loops:[] spt.Pipeline.program
+  in
+  check_oracle "no loops" r;
+  Alcotest.(check int) "no worker started" 0 r.Runtime.workers;
+  Alcotest.(check int) "only the sequential thread's lane" 1
+    (List.length (Spt_obs.Timeline.summary timeline))
+
+(* The inner loop is entered once per time step, each entry after a
+   stretch of sequential work on [a] (a loop carrying [seed], which the
+   compiler does not speculate). *)
+let reentry_src =
+  {|
+int n = 3000;
+int a[3000];
+int b[3000];
+int seed;
+void main() {
+  int t;
+  int i;
+  int j;
+  int s = 0;
+  seed = 7;
+  for (i = 0; i < n; i = i + 1) { a[i] = i * 5 + 1; }
+  for (t = 0; t < 12; t = t + 1) {
+    for (i = 0; i < n; i = i + 1) {
+      int x = a[i] + t;
+      b[i] = x * x - (x & 15);
+    }
+    for (j = 0; j < 3000; j = j + 1) {
+      seed = (seed * 75 + 74) % 65537;
+      a[seed % n] = a[seed % n] + (seed & 7);
+    }
+    s = s + b[t] + b[n - 1 - t];
+  }
+  print_int(s + seed);
+}
+|}
+
+let test_reentered_loop_keeps_pool () =
+  let spt = Pipeline.compile_spt Config.best reentry_src in
+  Alcotest.(check int) "init and inner loops selected" 2
+    (List.length spt.Pipeline.spt_loops);
+  List.iter
+    (fun jobs ->
+      let timeline = Spt_obs.Timeline.create () in
+      let r =
+        Runtime.run
+          ~config:(rt_config ~timeline jobs)
+          ~loops:(Pipeline.loop_specs spt) spt.Pipeline.program
+      in
+      let name = Printf.sprintf "reentry j%d" jobs in
+      check_oracle name r;
+      (* the inner loop retired its trip once per time step, the init
+         loop once *)
+      let iters = List.map (fun (_, s) -> s.Runtime.iters) r.Runtime.stats in
+      Alcotest.(check bool)
+        (name ^ ": the inner loop speculated in every time step") true
+        (List.fold_left max 0 iters >= 10 * List.fold_left min max_int iters);
+      Alcotest.(check int) (name ^ ": one pool") (Runtime.workers_for jobs)
+        r.Runtime.workers;
+      Alcotest.(check int)
+        (name ^ ": one lane per worker, plus the sequential thread's")
+        (r.Runtime.workers + 1)
+        (List.length (Spt_obs.Timeline.summary timeline)))
+    [ 2; 4 ]
 
 let suite =
   [
@@ -859,4 +1067,13 @@ let suite =
       test_workload_equivalence;
     Alcotest.test_case "outcome determinism" `Slow test_outcome_determinism;
     Alcotest.test_case "run_parallel measures" `Slow test_run_parallel_measures;
+    Alcotest.test_case "round planner table" `Quick test_plan_inline_table;
+    Alcotest.test_case "rounds run head chunks inline" `Slow
+      test_rounds_run_inline;
+    Alcotest.test_case "inline head races workers" `Slow
+      test_inline_head_races_workers;
+    Alcotest.test_case "no loops, no worker domain" `Slow
+      test_no_loops_no_workers;
+    Alcotest.test_case "re-entered loop keeps one pool" `Slow
+      test_reentered_loop_keeps_pool;
   ]
