@@ -120,17 +120,21 @@ let compile_base ?(unroll = Unroll.default_policy) ?(inline = false) src =
   out_of_ssa prog;
   prog
 
-(* run all profilers over [prog] in one interpreter pass *)
+(* run all profilers over [prog] in one probed engine run *)
 let profile_all ?(value_targets = []) (prog : Ir.program) ~max_steps =
   Obs.Trace.span "profile" (fun () ->
       let ep = Edge_profile.create () in
       let dp = Dep_profile.create prog in
       let vp = Value_profile.create value_targets in
-      let hooks =
-        Spt_interp.Interp.combine_hooks
-          [ Edge_profile.hooks ep; Dep_profile.hooks dp; Value_profile.hooks vp ]
+      let probes =
+        Spt_exec.Engine.combine
+          [
+            Edge_profile.probes ep prog;
+            Dep_profile.probes dp prog;
+            Value_profile.probes vp prog;
+          ]
       in
-      let _ = Spt_interp.Interp.run ~hooks ~max_steps prog in
+      let _ = Spt_exec.Engine.profile ~max_steps probes prog in
       (ep, dp, vp))
 
 (* average dynamic cost of one invocation of each function, callees

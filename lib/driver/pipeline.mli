@@ -87,8 +87,10 @@ val out_of_ssa : ?phi_primed:(int -> Ir.var option) -> Ir.program -> unit
 val compile_base :
   ?unroll:Unroll.policy -> ?inline:bool -> string -> Ir.program
 
-(** Run the edge, dependence and value profilers in one interpreter
-    pass. *)
+(** Run the edge, dependence and value profilers in one probed run of
+    the bytecode engine ({!Spt_exec.Engine.profile}).
+    @raise Spt_interp.Interp.Runtime_error when the run fails or
+    exceeds [max_steps]. *)
 val profile_all :
   ?value_targets:Spt_profile.Value_profile.target list ->
   Ir.program ->

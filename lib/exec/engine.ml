@@ -49,6 +49,26 @@ type inst =
   | T_jump of int
   | T_br of operand * int * int
   | T_ret of operand option
+  | I_probe of probe  (** only in a profiling run's code *)
+
+(* Probe points, compiled only into the code of a profiling run
+   ({!profile}).  Each fires its event after the instruction's own
+   effect; [P_value] follows a watched defining instruction and reports
+   the register it just wrote.  A profiling run has no marker handler,
+   so its code is never resumed from a cursor and the extra [P_value]
+   slots cannot skew a [cpos]. *)
+and probe =
+  | P_load of int * Ir.var * region * operand  (** iid first *)
+  | P_store of int * region * operand * operand
+  | P_call of {
+      iid : int;
+      fid : int;  (** the callee's function index; -1 for builtins *)
+      dst : Ir.var option;
+      callee : callee;
+      sargs : operand array;
+      rargs : region array;
+    }
+  | P_value of int * int * Ir.var  (** fid, iid, defined register *)
 
 (* Per incoming edge: the block's phis as one parallel move.
    [Ph_partial] marks an edge some phi lacks — the reads that the tree
@@ -58,9 +78,16 @@ type phi_edge =
   | Ph_all of (Ir.var * operand) array
   | Ph_partial of operand array
 
-type block_phis = Phi_none | Phi_edges of (int * phi_edge) array
+(* What runs on block entry, before the block's first instruction.
+   [H_probe] exists only in a profiling run's code: it fires the block
+   probe, runs the inner head, then reports each watched phi's value
+   as (iid, destination). *)
+type block_head =
+  | H_none
+  | H_phis of (int * phi_edge) array
+  | H_probe of int * block_head * (int * Ir.var) array  (** fid first *)
 
-type block_code = { bc_start : int; bc_phis : block_phis }
+type block_code = { bc_start : int; bc_head : block_head }
 
 type fcode = {
   fc_func : Ir.func;
@@ -72,7 +99,91 @@ type t = {
   t_program : Ir.program;
   t_layout : Layout.t;
   t_funcs : (string, fcode) Hashtbl.t;
+  t_code : fcode array;  (** by function index (see {!functions}) *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Probes *)
+
+type probes = {
+  on_enter : (int -> unit) option;
+  on_exit : (int -> unit) option;
+  on_block : (int -> int -> int -> unit) option;
+  on_call : (int -> unit) option;
+  on_load : (int -> int -> unit) option;
+  on_store : (int -> int -> unit) option;
+  watch : int -> int -> bool;
+  on_value : (int -> int -> value -> unit) option;
+  on_finish : (unit -> unit) option;
+}
+
+let no_probes =
+  {
+    on_enter = None;
+    on_exit = None;
+    on_block = None;
+    on_call = None;
+    on_load = None;
+    on_store = None;
+    watch = (fun _ _ -> false);
+    on_value = None;
+    on_finish = None;
+  }
+
+(* fan one event out to every probe set that handles it; a single
+   handler is passed through unwrapped *)
+let combine (ps : probes list) =
+  let fan get each =
+    match List.filter_map get ps with
+    | [] -> None
+    | [ h ] -> Some h
+    | hs -> Some (each hs)
+  in
+  let fan1 get = fan get (fun hs a -> List.iter (fun h -> h a) hs) in
+  let fan2 get = fan get (fun hs a b -> List.iter (fun h -> h a b) hs) in
+  let valued = List.filter (fun p -> p.on_value <> None) ps in
+  {
+    on_enter = fan1 (fun p -> p.on_enter);
+    on_exit = fan1 (fun p -> p.on_exit);
+    on_block =
+      fan
+        (fun p -> p.on_block)
+        (fun hs a b c -> List.iter (fun h -> h a b c) hs);
+    on_call = fan1 (fun p -> p.on_call);
+    on_load = fan2 (fun p -> p.on_load);
+    on_store = fan2 (fun p -> p.on_store);
+    watch = (fun fid iid -> List.exists (fun p -> p.watch fid iid) valued);
+    on_value =
+      (match valued with
+      | [] -> None
+      | [ p ] -> p.on_value
+      | _ ->
+        (* each set sees only the instructions it watches *)
+        Some
+          (fun fid iid v ->
+            List.iter
+              (fun p ->
+                match p.on_value with
+                | Some h when p.watch fid iid -> h fid iid v
+                | _ -> ())
+              valued));
+    on_finish =
+      fan (fun p -> p.on_finish) (fun hs () -> List.iter (fun h -> h ()) hs);
+  }
+
+(* the first binding of each name, in program order — the function the
+   tree interpreter's call resolution finds *)
+let functions (program : Ir.program) =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun (name, f) ->
+      if Hashtbl.mem seen name then None
+      else begin
+        Hashtbl.add seen name ();
+        Some f
+      end)
+    program.Ir.funcs
+  |> Array.of_list
 
 let code_size t =
   Hashtbl.fold (fun _ fc acc -> acc + Array.length fc.fc_code) t.t_funcs 0
@@ -89,9 +200,9 @@ let compile_region layout = function
   | Ir.Rsym s -> R_sym (s, Layout.element_address layout s 0)
   | Ir.Rparam (slot, name) -> R_param (slot, name)
 
-let compile_phis (phis : Ir.instr list) : block_phis =
+let compile_phis (phis : Ir.instr list) : block_head =
   match phis with
-  | [] -> Phi_none
+  | [] -> H_none
   | _ ->
     let entries =
       List.map
@@ -119,7 +230,7 @@ let compile_phis (phis : Ir.instr list) : block_phis =
       in
       go [] entries
     in
-    Phi_edges (Array.of_list (List.map (fun p -> (p, edge p)) preds))
+    H_phis (Array.of_list (List.map (fun p -> (p, edge p)) preds))
 
 let compile_instr layout (program : Ir.program) (k : Ir.kind) : inst =
   match k with
@@ -159,12 +270,59 @@ let compile_term = function
   | Ir.Br (c, t, e) -> T_br (compile_operand c, t, e)
   | Ir.Ret o -> T_ret (Option.map compile_operand o)
 
-let compile_func layout (program : Ir.program) (f : Ir.func) : fcode =
+(* A profiling run's compile context: the probes, the compiled
+   function's index, and callee names resolved to function indices. *)
+type probe_ctx = { pr : probes; fid : int; fid_of : string -> int }
+
+let watched pc iid = pc.pr.on_value <> None && pc.pr.watch pc.fid iid
+
+(* The block probe wraps the head when a block or phi value is probed. *)
+let probe_head pc phis head =
+  let values =
+    List.filter_map
+      (fun (i : Ir.instr) ->
+        match i.Ir.kind with
+        | Ir.Phi (d, _) when watched pc i.Ir.iid -> Some (i.Ir.iid, d)
+        | _ -> None)
+      phis
+  in
+  if pc.pr.on_block = None && values = [] then head
+  else H_probe (pc.fid, head, Array.of_list values)
+
+(* One instruction's code in a profiling run: the probed form of the
+   instruction, then [P_value] when it defines a watched value.  Every
+   program call goes through [P_call], which enters the callee by index
+   and fires its entry and exit. *)
+let probe_instr pc (i : Ir.instr) inst =
+  let iid = i.Ir.iid in
+  let inst =
+    match inst with
+    | I_load (d, r, idx) when pc.pr.on_load <> None ->
+      I_probe (P_load (iid, d, r, idx))
+    | I_store (r, idx, src) when pc.pr.on_store <> None ->
+      I_probe (P_store (iid, r, idx, src))
+    | I_call (dst, callee, sargs, rargs) ->
+      let fid =
+        match callee with C_func f -> pc.fid_of f.Ir.fname | C_builtin _ -> -1
+      in
+      I_probe (P_call { iid; fid; dst; callee; sargs; rargs })
+    | inst -> inst
+  in
+  let value d = [ inst; I_probe (P_value (pc.fid, iid, d)) ] in
+  match inst with
+  | (I_move (d, _) | I_unop (d, _, _) | I_binop (d, _, _, _) | I_load (d, _, _))
+    when watched pc iid ->
+    value d
+  | I_probe (P_load (_, d, _, _)) when watched pc iid -> value d
+  | I_probe (P_call { callee = C_builtin _; dst = Some d; _ })
+    when watched pc iid ->
+    value d
+  | inst -> [ inst ]
+
+let compile_func ?probe layout (program : Ir.program) (f : Ir.func) : fcode =
   let bids = Ir.block_ids f in
   let maxbid = List.fold_left max (-1) bids in
-  let blocks =
-    Array.make (maxbid + 1) { bc_start = -1; bc_phis = Phi_none }
-  in
+  let blocks = Array.make (maxbid + 1) { bc_start = -1; bc_head = H_none } in
   let rev_code = ref [] and n = ref 0 in
   let emit i =
     rev_code := i :: !rev_code;
@@ -176,25 +334,42 @@ let compile_func layout (program : Ir.program) (f : Ir.func) : fcode =
       let phis, rest =
         List.partition (fun (i : Ir.instr) -> Ir.is_phi i.Ir.kind) b.Ir.instrs
       in
-      blocks.(bid) <- { bc_start = !n; bc_phis = compile_phis phis };
+      let head = compile_phis phis in
+      let head =
+        match probe with None -> head | Some pc -> probe_head pc phis head
+      in
+      blocks.(bid) <- { bc_start = !n; bc_head = head };
       List.iter
-        (fun (i : Ir.instr) -> emit (compile_instr layout program i.Ir.kind))
+        (fun (i : Ir.instr) ->
+          let inst = compile_instr layout program i.Ir.kind in
+          match probe with
+          | None -> emit inst
+          | Some pc -> List.iter emit (probe_instr pc i inst))
         rest;
       emit (compile_term b.Ir.term))
     bids;
   { fc_func = f; fc_code = Array.of_list (List.rev !rev_code); fc_blocks = blocks }
 
-let compile (st : I.state) : t =
+let compile_code ?probes (st : I.state) : t =
   let program = I.program_of st in
   let layout = I.layout st in
+  let fs = functions program in
+  let fids = Hashtbl.create 16 in
+  Array.iteri (fun fid (f : Ir.func) -> Hashtbl.add fids f.Ir.fname fid) fs;
+  let code =
+    Array.mapi
+      (fun fid f ->
+        let probe =
+          Option.map (fun pr -> { pr; fid; fid_of = Hashtbl.find fids }) probes
+        in
+        compile_func ?probe layout program f)
+      fs
+  in
   let funcs = Hashtbl.create 16 in
-  List.iter
-    (fun (name, f) ->
-      (* first binding wins, like the tree's [List.assoc_opt] *)
-      if not (Hashtbl.mem funcs name) then
-        Hashtbl.add funcs name (compile_func layout program f))
-    program.Ir.funcs;
-  { t_program = program; t_layout = layout; t_funcs = funcs }
+  Array.iter (fun fc -> Hashtbl.add funcs fc.fc_func.Ir.fname fc) code;
+  { t_program = program; t_layout = layout; t_funcs = funcs; t_code = code }
+
+let compile st = compile_code st
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -216,9 +391,10 @@ type ctx = {
   max_steps : int;
   mutable steps : int;
   mutable entries : int;
+  pr : probes;  (** read only by probe code *)
 }
 
-let make_ctx t st =
+let make_ctx ?(probes = no_probes) t st =
   let steps, entries = I.counts st in
   {
     st;
@@ -228,6 +404,7 @@ let make_ctx t st =
     max_steps = I.max_steps_of st;
     steps;
     entries;
+    pr = probes;
   }
 
 let flush ctx = I.set_counts ctx.st ~steps:ctx.steps ~block_entries:ctx.entries
@@ -301,32 +478,83 @@ let check_budget ctx =
   if ctx.steps + ctx.entries > ctx.max_steps then
     err "step limit exceeded (%d)" ctx.max_steps
 
-let run_phis ctx frame bid prev = function
-  | Phi_none -> ()
-  | Phi_edges edges ->
-    let n = Array.length edges in
-    let rec find i =
-      if i = n then
-        err "phi in bb%d has no operand for predecessor bb%d" bid prev
-      else
-        let p, e = edges.(i) in
-        if p = prev then e else find (i + 1)
-    in
-    (match find 0 with
-    | Ph_partial reads ->
-      Array.iter (fun o -> ignore (read_operand frame o)) reads;
+let run_phis ctx frame bid prev edges =
+  let n = Array.length edges in
+  let rec find i =
+    if i = n then
       err "phi in bb%d has no operand for predecessor bb%d" bid prev
-    | Ph_all moves ->
-      (* parallel: all reads precede all writes *)
-      let k = Array.length moves in
-      let vals = Array.make k (Eval.Vi 0L) in
-      for i = 0 to k - 1 do
-        vals.(i) <- read_operand frame (snd moves.(i))
-      done;
-      for i = 0 to k - 1 do
-        write_reg frame (fst moves.(i)) vals.(i)
-      done;
-      ctx.steps <- ctx.steps + k)
+    else
+      let p, e = edges.(i) in
+      if p = prev then e else find (i + 1)
+  in
+  match find 0 with
+  | Ph_partial reads ->
+    Array.iter (fun o -> ignore (read_operand frame o)) reads;
+    err "phi in bb%d has no operand for predecessor bb%d" bid prev
+  | Ph_all moves ->
+    (* parallel: all reads precede all writes *)
+    let k = Array.length moves in
+    let vals = Array.make k (Eval.Vi 0L) in
+    for i = 0 to k - 1 do
+      vals.(i) <- read_operand frame (snd moves.(i))
+    done;
+    for i = 0 to k - 1 do
+      write_reg frame (fst moves.(i)) vals.(i)
+    done;
+    ctx.steps <- ctx.steps + k
+
+let run_head ctx frame bid prev = function
+  | H_none -> ()
+  | H_phis edges -> run_phis ctx frame bid prev edges
+  | H_probe (fid, head, values) -> (
+    (match ctx.pr.on_block with Some h -> h fid bid prev | None -> ());
+    (match head with
+    | H_phis edges -> run_phis ctx frame bid prev edges
+    | H_none | H_probe _ -> ());
+    match ctx.pr.on_value with
+    | Some h -> Array.iter (fun (iid, d) -> h fid iid (read_reg frame d)) values
+    | None -> ())
+
+let eval_scalars frame sargs =
+  let ns = Array.length sargs in
+  let scalars = Array.make ns (Eval.Vi 0L) in
+  for i = 0 to ns - 1 do
+    scalars.(i) <- read_operand frame sargs.(i)
+  done;
+  scalars
+
+let resolve_rargs ctx frame rargs =
+  let na = Array.length rargs in
+  if na = 0 then [||]
+  else begin
+    let a0 = resolve_rarg ctx frame rargs.(0) in
+    let arr = Array.make na a0 in
+    for i = 1 to na - 1 do
+      arr.(i) <- resolve_rarg ctx frame rargs.(i)
+    done;
+    arr
+  end
+
+let call_builtin ctx frame dst name scalars =
+  let ret = I.exec_builtin ctx.st name (Array.to_list scalars) in
+  match (dst, ret) with
+  | Some d, Some v -> write_reg frame d v
+  | Some _, None -> err "builtin %s returned no value" name
+  | None, _ -> ()
+
+let set_result frame dst (f : Ir.func) ret =
+  match (dst, ret) with
+  | Some d, Some v -> write_reg frame d v
+  | Some _, None -> err "call to %s returned no value" f.Ir.fname
+  | None, _ -> ()
+
+let new_frame (f : Ir.func) arrays =
+  {
+    I.func = f;
+    regs = Array.make (Spt_util.Idgen.peek f.Ir.var_gen) None;
+    arr_args = arrays;
+    frio = None;
+  }
 
 let bind_params frame (callee : Ir.func) (scalars : value array) =
   let n = Array.length scalars in
@@ -359,7 +587,7 @@ let rec seg_exec ctx frame fc (stop_block : int option) watch
   let bc0 = block_of fc cur.I.cbid in
   if cur.I.cpos = 0 then begin
     ctx.entries <- ctx.entries + 1;
-    run_phis ctx frame cur.I.cbid cur.I.cprev bc0.bc_phis
+    run_head ctx frame cur.I.cbid cur.I.cprev bc0.bc_head
   end;
   let rec loop bid prev start pc : I.seg_stop =
     match Array.unsafe_get code pc with
@@ -396,36 +624,11 @@ let rec seg_exec ctx frame fc (stop_block : int option) watch
       loop bid prev start (pc + 1)
     | I_call (dst, callee, sargs, rargs) ->
       ctx.steps <- ctx.steps + 1;
-      let ns = Array.length sargs in
-      let scalars = Array.make ns (Eval.Vi 0L) in
-      for i = 0 to ns - 1 do
-        scalars.(i) <- read_operand frame sargs.(i)
-      done;
-      let na = Array.length rargs in
-      let arrays =
-        if na = 0 then [||]
-        else begin
-          let a0 = resolve_rarg ctx frame rargs.(0) in
-          let arr = Array.make na a0 in
-          for i = 1 to na - 1 do
-            arr.(i) <- resolve_rarg ctx frame rargs.(i)
-          done;
-          arr
-        end
-      in
+      let scalars = eval_scalars frame sargs in
+      let arrays = resolve_rargs ctx frame rargs in
       (match callee with
-      | C_builtin name -> (
-        let ret = I.exec_builtin ctx.st name (Array.to_list scalars) in
-        match (dst, ret) with
-        | Some d, Some v -> write_reg frame d v
-        | Some _, None -> err "builtin %s returned no value" name
-        | None, _ -> ())
-      | C_func f -> (
-        let ret = call_fn ctx f scalars arrays in
-        match (dst, ret) with
-        | Some d, Some v -> write_reg frame d v
-        | Some _, None -> err "call to %s returned no value" f.Ir.fname
-        | None, _ -> ()));
+      | C_builtin name -> call_builtin ctx frame dst name scalars
+      | C_func f -> set_result frame dst f (call_fn ctx f scalars arrays));
       loop bid prev start (pc + 1)
     | I_marker m ->
       ctx.steps <- ctx.steps + 1;
@@ -442,6 +645,9 @@ let rec seg_exec ctx frame fc (stop_block : int option) watch
       check_budget ctx;
       I.Seg_return
         (match o with None -> None | Some o -> Some (read_operand frame o))
+    | I_probe probe ->
+      probe_step ctx frame probe;
+      loop bid prev start (pc + 1)
   and continue bid next =
     match stop_block with
     | Some sb when next = sb ->
@@ -449,7 +655,7 @@ let rec seg_exec ctx frame fc (stop_block : int option) watch
     | _ ->
       let bc = block_of fc next in
       ctx.entries <- ctx.entries + 1;
-      run_phis ctx frame next bid bc.bc_phis;
+      run_head ctx frame next bid bc.bc_head;
       loop next bid bc.bc_start bc.bc_start
   in
   loop cur.I.cbid cur.I.cprev bc0.bc_start (bc0.bc_start + cur.I.cpos)
@@ -458,14 +664,7 @@ and call_fn ctx (f : Ir.func) (scalars : value array) (arrays : Ir.sym array) :
     value option =
   match Hashtbl.find_opt ctx.prog.t_funcs f.Ir.fname with
   | Some fc when fc.fc_func == f ->
-    let frame =
-      {
-        I.func = f;
-        regs = Array.make (Spt_util.Idgen.peek f.Ir.var_gen) None;
-        arr_args = arrays;
-        frio = None;
-      }
-    in
+    let frame = new_frame f arrays in
     bind_params frame f scalars;
     drive ctx frame fc f.Ir.entry
   | _ ->
@@ -474,6 +673,53 @@ and call_fn ctx (f : Ir.func) (scalars : value array) (arrays : Ir.sym array) :
     Fun.protect
       ~finally:(fun () -> reload ctx)
       (fun () -> I.call ctx.st f (Array.to_list scalars) (Array.to_list arrays))
+
+(* The probe opcodes of a profiling run, apart from the dispatch loop so
+   that the loop unprofiled runs execute is the one without them. *)
+and probe_step ctx frame = function
+  | P_load (iid, d, r, idx_op) ->
+    ctx.steps <- ctx.steps + 1;
+    let idx = as_int (read_operand frame idx_op) in
+    let addr = load_addr ctx frame r idx in
+    write_reg frame d (ctx.memio.I.mio_load addr);
+    (match ctx.pr.on_load with Some h -> h iid addr | None -> ())
+  | P_store (iid, r, idx_op, src) ->
+    ctx.steps <- ctx.steps + 1;
+    let idx = as_int (read_operand frame idx_op) in
+    let v = read_operand frame src in
+    let addr = store_addr ctx frame r idx in
+    ctx.memio.I.mio_store addr v;
+    (match ctx.pr.on_store with Some h -> h iid addr | None -> ())
+  | P_call { iid; fid; dst; callee; sargs; rargs } ->
+    ctx.steps <- ctx.steps + 1;
+    let scalars = eval_scalars frame sargs in
+    let arrays = resolve_rargs ctx frame rargs in
+    let site () = match ctx.pr.on_call with Some h -> h iid | None -> () in
+    (* the tree's order: a program call's site precedes its callee's
+       entry; a builtin's follows the builtin *)
+    (match callee with
+    | C_builtin name ->
+      call_builtin ctx frame dst name scalars;
+      site ()
+    | C_func f ->
+      site ();
+      set_result frame dst f (call_probed ctx fid scalars arrays))
+  | P_value (fid, iid, d) ->
+    (match ctx.pr.on_value with
+    | Some h -> h fid iid (read_reg frame d)
+    | None -> ())
+
+(* A profiling run's call: the callee is entered by index, so no call
+   is ever handed to the tree interpreter (which fires no probes). *)
+and call_probed ctx fid scalars arrays =
+  let fc = ctx.prog.t_code.(fid) in
+  let f = fc.fc_func in
+  let frame = new_frame f arrays in
+  bind_params frame f scalars;
+  (match ctx.pr.on_enter with Some h -> h fid | None -> ());
+  let ret = drive ctx frame fc f.Ir.entry in
+  (match ctx.pr.on_exit with Some h -> h fid | None -> ());
+  ret
 
 and drive ctx frame fc entry : value option =
   let watch = I.marker_handler_of ctx.st <> None in
@@ -545,3 +791,26 @@ let run ?(max_steps = 200_000_000) (program : Ir.program) : I.result =
     output = Buffer.contents store.I.sout;
     dynamic_instrs = I.steps st;
   }
+
+let profile ?(max_steps = 200_000_000) probes (program : Ir.program) :
+    I.result =
+  Fun.protect
+    ~finally:(fun () -> Option.iter (fun h -> h ()) probes.on_finish)
+    (fun () ->
+      let layout = Layout.build program.Ir.globals in
+      let store = I.new_store layout program in
+      let st = I.make ~max_steps ~memio:(I.store_memio store) program in
+      let t = compile_code ~probes st in
+      let mainf = Ir.func_of_program program "main" in
+      let rec index i =
+        if t.t_code.(i).fc_func == mainf then i else index (i + 1)
+      in
+      let ctx = make_ctx ~probes t st in
+      let return_value = call_probed ctx (index 0) [||] [||] in
+      Spt_obs.Metrics.inc m_runs;
+      Spt_obs.Metrics.add m_steps ctx.steps;
+      {
+        I.return_value;
+        output = Buffer.contents store.I.sout;
+        dynamic_instrs = ctx.steps;
+      })

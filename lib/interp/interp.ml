@@ -58,17 +58,6 @@ let null_hooks =
     on_exit = (fun _ -> ());
   }
 
-(** Fan one event stream out to several consumers (profilers compose). *)
-let combine_hooks hs =
-  {
-    on_instr = (fun f b i e -> List.iter (fun h -> h.on_instr f b i e) hs);
-    on_block = (fun f b -> List.iter (fun h -> h.on_block f b) hs);
-    on_edge = (fun f ~src ~dst -> List.iter (fun h -> h.on_edge f ~src ~dst) hs);
-    on_branch = (fun f b ~taken -> List.iter (fun h -> h.on_branch f b ~taken) hs);
-    on_enter = (fun f -> List.iter (fun h -> h.on_enter f) hs);
-    on_exit = (fun f -> List.iter (fun h -> h.on_exit f) hs);
-  }
-
 exception Runtime_error of string
 
 let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
@@ -182,6 +171,19 @@ type sampler = {
   mutable s_last_steps : int;
 }
 
+(* Per-machine caches of what the tree re-derives on every block entry
+   and call: a block's phis and its other instructions as an array (so
+   a cursor indexes it), per function, filled as blocks are entered;
+   and each callee name's function.  Both assume the program does not
+   change under a running machine. *)
+type block_cache = {
+  bk_block : Ir.block;
+  bk_phis : Ir.instr list;
+  bk_rest : Ir.instr array;
+}
+
+type func_cache = { fk_func : Ir.func; fk_blocks : block_cache option array }
+
 type state = {
   program : Ir.program;
   layout : Layout.t;
@@ -190,9 +192,13 @@ type state = {
   mutable block_entries : int;
   max_steps : int;
   hooks : hooks;
+  hooked : bool;  (** [hooks] is not [null_hooks]: fire them, with effects *)
   mutable on_marker :
     (state -> frame -> marker -> cursor -> marker_action) option;
   mutable sampler : sampler option;
+  mutable func_caches : func_cache list;
+  mutable callees : (string, Ir.func) Hashtbl.t option;
+      (** the first binding of each name; built on the first call *)
 }
 
 type result = {
@@ -201,19 +207,73 @@ type result = {
   dynamic_instrs : int;
 }
 
-let make ?(hooks = null_hooks) ?(max_steps = 200_000_000) ~memio
-    (program : Ir.program) =
+let make_with ~layout ~hooks ~max_steps ~memio program =
   {
     program;
-    layout = Layout.build program.Ir.globals;
+    layout;
     memio;
     steps = 0;
     block_entries = 0;
     max_steps;
     hooks;
+    hooked = hooks != null_hooks;
     on_marker = None;
     sampler = None;
+    func_caches = [];
+    callees = None;
   }
+
+let make ?(hooks = null_hooks) ?(max_steps = 200_000_000) ~memio
+    (program : Ir.program) =
+  make_with ~layout:(Layout.build program.Ir.globals) ~hooks ~max_steps ~memio
+    program
+
+let func_cache st (f : Ir.func) =
+  let rec find = function
+    | [] ->
+      let fk =
+        {
+          fk_func = f;
+          fk_blocks = Array.make (Spt_util.Idgen.peek f.Ir.blk_gen) None;
+        }
+      in
+      st.func_caches <- fk :: st.func_caches;
+      fk
+    | fk :: tl -> if fk.fk_func == f then fk else find tl
+  in
+  find st.func_caches
+
+let block_cache fk bid =
+  let build () =
+    (* [Ir.block] raises the usual error for an unknown id *)
+    let b = Ir.block fk.fk_func bid in
+    let phis, rest =
+      List.partition (fun (i : Ir.instr) -> Ir.is_phi i.Ir.kind) b.Ir.instrs
+    in
+    { bk_block = b; bk_phis = phis; bk_rest = Array.of_list rest }
+  in
+  if bid >= 0 && bid < Array.length fk.fk_blocks then (
+    match Array.unsafe_get fk.fk_blocks bid with
+    | Some bk -> bk
+    | None ->
+      let bk = build () in
+      fk.fk_blocks.(bid) <- Some bk;
+      bk)
+  else build ()
+
+let callee st name =
+  let tbl =
+    match st.callees with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 16 in
+      List.iter
+        (fun (n, f) -> if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n f)
+        st.program.Ir.funcs;
+      st.callees <- Some tbl;
+      tbl
+  in
+  Hashtbl.find_opt tbl name
 
 let h_dispatch = Spt_obs.Metrics.histogram "interp.dispatch_ns_per_instr"
 
@@ -332,9 +392,9 @@ let rec exec_call st (callee : Ir.func) (scalar_args : value list)
     | _ -> error "arity mismatch calling %s" callee.Ir.fname
   in
   bind callee.Ir.fparams scalar_args;
-  st.hooks.on_enter callee;
+  if st.hooked then st.hooks.on_enter callee;
   let ret = run_frame st frame ~entry:callee.Ir.entry in
-  st.hooks.on_exit callee;
+  if st.hooked then st.hooks.on_exit callee;
   ret
 
 (** Drive a frame from [entry] to its return, dispatching SPT markers
@@ -362,13 +422,13 @@ and run_frame st frame ~entry : value option =
     segment; markers inside callees do not stop it. *)
 and exec_segment st frame ?stop_block ~watch_markers (cur : cursor) : seg_stop
     =
-  let b = Ir.block frame.func cur.cbid in
+  segment st frame (func_cache st frame.func) stop_block watch_markers cur
+
+and segment st frame fk stop_block watch_markers (cur : cursor) : seg_stop =
   let bid = cur.cbid and prev = cur.cprev in
+  let b = block_cache fk bid in
   (* phis evaluate in parallel against the incoming edge, on fresh
      block entry only; a resumed cursor indexes past them *)
-  let phis, rest =
-    List.partition (fun (i : Ir.instr) -> Ir.is_phi i.Ir.kind) b.Ir.instrs
-  in
   if cur.cpos = 0 then begin
     st.block_entries <- st.block_entries + 1;
     (match st.sampler with
@@ -381,38 +441,49 @@ and exec_segment st frame ?stop_block ~watch_markers (cur : cursor) : seg_stop
       s.s_last_t <- t;
       s.s_last_steps <- st.steps
     | _ -> ());
-    st.hooks.on_block frame.func bid;
-    if prev >= 0 then st.hooks.on_edge frame.func ~src:prev ~dst:bid;
-    let phi_values =
-      List.map
-        (fun (i : Ir.instr) ->
-          match i.Ir.kind with
-          | Ir.Phi (d, ins) -> (
-            match List.assoc_opt prev ins with
-            | Some o ->
-              let v = read_operand frame o in
-              (i, d, o, v)
-            | None ->
-              error "phi in bb%d has no operand for predecessor bb%d" bid prev)
-          | _ -> assert false)
-        phis
-    in
-    List.iter
-      (fun ((i : Ir.instr), d, o, v) ->
-        write_reg frame d v;
-        st.steps <- st.steps + 1;
-        let uses = match o with Ir.Reg u -> [ (u, v) ] | _ -> [] in
-        st.hooks.on_instr frame.func bid i
-          { no_effects with defs = [ (d, v) ]; uses })
-      phi_values
+    if st.hooked then begin
+      st.hooks.on_block frame.func bid;
+      if prev >= 0 then st.hooks.on_edge frame.func ~src:prev ~dst:bid
+    end;
+    match b.bk_phis with
+    | [] -> ()
+    | phis ->
+      let phi_values =
+        List.map
+          (fun (i : Ir.instr) ->
+            match i.Ir.kind with
+            | Ir.Phi (d, ins) -> (
+              match List.assoc_opt prev ins with
+              | Some o -> (i, d, o, read_operand frame o)
+              | None ->
+                error "phi in bb%d has no operand for predecessor bb%d" bid
+                  prev)
+            | _ -> assert false)
+          phis
+      in
+      List.iter
+        (fun ((i : Ir.instr), d, o, v) ->
+          write_reg frame d v;
+          st.steps <- st.steps + 1;
+          if st.hooked then
+            st.hooks.on_instr frame.func bid i
+              {
+                no_effects with
+                defs = [ (d, v) ];
+                uses = (match o with Ir.Reg u -> [ (u, v) ] | _ -> []);
+              })
+        phi_values
   end;
-  let rec exec_rest pos = function
-    | [] -> None
-    | (i : Ir.instr) :: tl -> (
+  let rest = b.bk_rest in
+  let n = Array.length rest in
+  let rec exec_rest pos =
+    if pos >= n then None
+    else
+      let i = Array.unsafe_get rest pos in
       match i.Ir.kind with
       | Ir.Spt_fork id | Ir.Spt_kill id ->
         st.steps <- st.steps + 1;
-        st.hooks.on_instr frame.func bid i no_effects;
+        if st.hooked then st.hooks.on_instr frame.func bid i no_effects;
         let m =
           match i.Ir.kind with
           | Ir.Spt_fork _ -> `Fork id
@@ -420,19 +491,12 @@ and exec_segment st frame ?stop_block ~watch_markers (cur : cursor) : seg_stop
         in
         if watch_markers then
           Some (Seg_marker (m, { cbid = bid; cprev = prev; cpos = pos + 1 }))
-        else exec_rest (pos + 1) tl
+        else exec_rest (pos + 1)
       | _ ->
         exec_instr st frame bid i;
-        exec_rest (pos + 1) tl)
+        exec_rest (pos + 1)
   in
-  let tail =
-    let rec drop n l =
-      if n <= 0 then l
-      else match l with [] -> [] | _ :: t -> drop (n - 1) t
-    in
-    drop cur.cpos rest
-  in
-  match exec_rest cur.cpos tail with
+  match exec_rest cur.cpos with
   | Some stop -> stop
   | None -> (
     if st.steps + st.block_entries > st.max_steps then
@@ -442,42 +506,37 @@ and exec_segment st frame ?stop_block ~watch_markers (cur : cursor) : seg_stop
       | Some sb when next = sb ->
         Seg_stop_block { cbid = next; cprev = bid; cpos = 0 }
       | _ ->
-        exec_segment st frame ?stop_block ~watch_markers
+        segment st frame fk stop_block watch_markers
           { cbid = next; cprev = bid; cpos = 0 }
     in
-    match b.Ir.term with
+    match b.bk_block.Ir.term with
     | Ir.Jump next -> continue next
     | Ir.Br (c, t, e) ->
       let cv = read_operand frame c in
       let taken = Eval.is_truthy cv in
-      st.hooks.on_branch frame.func bid ~taken;
+      if st.hooked then st.hooks.on_branch frame.func bid ~taken;
       continue (if taken then t else e)
     | Ir.Ret None -> Seg_return None
     | Ir.Ret (Some o) -> Seg_return (Some (read_operand frame o)))
 
+(* Unhooked machines build no effects: every [fire] below sits behind
+   [st.hooked]. *)
 and exec_instr st frame bid (i : Ir.instr) =
   st.steps <- st.steps + 1;
   let fire eff = st.hooks.on_instr frame.func bid i eff in
+  let reg_use o x = match o with Ir.Reg u -> [ (u, x) ] | _ -> [] in
   match i.Ir.kind with
   | Ir.Move (d, o) ->
     let v = read_operand frame o in
     write_reg frame d v;
-    fire
-      {
-        no_effects with
-        defs = [ (d, v) ];
-        uses = (match o with Ir.Reg u -> [ (u, v) ] | _ -> []);
-      }
+    if st.hooked then
+      fire { no_effects with defs = [ (d, v) ]; uses = reg_use o v }
   | Ir.Unop (d, op, o) ->
     let a = read_operand frame o in
     let v = Eval.eval_unop op a in
     write_reg frame d v;
-    fire
-      {
-        no_effects with
-        defs = [ (d, v) ];
-        uses = (match o with Ir.Reg u -> [ (u, a) ] | _ -> []);
-      }
+    if st.hooked then
+      fire { no_effects with defs = [ (d, v) ]; uses = reg_use o a }
   | Ir.Binop (d, op, oa, ob) ->
     let a = read_operand frame oa and b = read_operand frame ob in
     let v =
@@ -485,32 +544,36 @@ and exec_instr st frame bid (i : Ir.instr) =
       with Eval.Division_by_zero -> error "division by zero"
     in
     write_reg frame d v;
-    let uses =
-      List.filter_map
-        (fun (o, x) -> match o with Ir.Reg u -> Some (u, x) | _ -> None)
-        [ (oa, a); (ob, b) ]
-    in
-    fire { no_effects with defs = [ (d, v) ]; uses }
+    if st.hooked then
+      fire
+        {
+          no_effects with
+          defs = [ (d, v) ];
+          uses = reg_use oa a @ reg_use ob b;
+        }
   | Ir.Load (d, region, idx_op) ->
     let idx = as_int (read_operand frame idx_op) in
     let addr, v = mem_read st frame region idx in
     write_reg frame d v;
-    let uses =
-      match idx_op with
-      | Ir.Reg u -> [ (u, Eval.Vi (Int64.of_int idx)) ]
-      | _ -> []
-    in
-    fire { no_effects with loads = [ (addr, v) ]; defs = [ (d, v) ]; uses }
+    if st.hooked then
+      fire
+        {
+          no_effects with
+          loads = [ (addr, v) ];
+          defs = [ (d, v) ];
+          uses = reg_use idx_op (Eval.Vi (Int64.of_int idx));
+        }
   | Ir.Store (region, idx_op, src) ->
     let idx = as_int (read_operand frame idx_op) in
     let v = read_operand frame src in
     let addr = mem_write st frame region idx v in
-    let uses =
-      List.filter_map
-        (fun (o, x) -> match o with Ir.Reg u -> Some (u, x) | _ -> None)
-        [ (idx_op, Eval.Vi (Int64.of_int idx)); (src, v) ]
-    in
-    fire { no_effects with stores = [ (addr, v) ]; uses }
+    if st.hooked then
+      fire
+        {
+          no_effects with
+          stores = [ (addr, v) ];
+          uses = reg_use idx_op (Eval.Vi (Int64.of_int idx)) @ reg_use src v;
+        }
   | Ir.Call (dst, name, args) -> (
     let scalar_args =
       List.filter_map
@@ -525,16 +588,18 @@ and exec_instr st frame bid (i : Ir.instr) =
         args
     in
     let uses =
-      List.filter_map
-        (function
-          | Ir.Aop (Ir.Reg u) -> Some (u, read_reg frame u)
-          | _ -> None)
-        args
+      if not st.hooked then []
+      else
+        List.filter_map
+          (function
+            | Ir.Aop (Ir.Reg u) -> Some (u, read_reg frame u)
+            | _ -> None)
+          args
     in
-    match List.assoc_opt name st.program.Ir.funcs with
+    match callee st name with
     | Some callee ->
       (* fire the call event before the callee's own events *)
-      fire { no_effects with uses };
+      if st.hooked then fire { no_effects with uses };
       let ret = exec_call st callee scalar_args array_args in
       (match (dst, ret) with
       | Some d, Some v -> write_reg frame d v
@@ -545,11 +610,11 @@ and exec_instr st frame bid (i : Ir.instr) =
       match (dst, ret) with
       | Some d, Some v ->
         write_reg frame d v;
-        fire { no_effects with defs = [ (d, v) ]; uses }
+        if st.hooked then fire { no_effects with defs = [ (d, v) ]; uses }
       | Some _, None -> error "builtin %s returned no value" name
-      | None, _ -> fire { no_effects with uses }))
+      | None, _ -> if st.hooked then fire { no_effects with uses }))
   | Ir.Phi _ -> error "phi outside block head"
-  | Ir.Spt_fork _ | Ir.Spt_kill _ -> fire no_effects
+  | Ir.Spt_fork _ | Ir.Spt_kill _ -> if st.hooked then fire no_effects
 
 let call = exec_call
 
@@ -562,7 +627,7 @@ let memio_of st = st.memio
 let program_of st = st.program
 let max_steps_of st = st.max_steps
 let marker_handler_of st = st.on_marker
-let hooks_are_null st = st.hooks == null_hooks
+let hooks_are_null st = not st.hooked
 let counts st = (st.steps, st.block_entries)
 
 let set_counts st ~steps ~block_entries =
@@ -581,17 +646,7 @@ let run ?(hooks = null_hooks) ?(max_steps = 200_000_000) (program : Ir.program) 
   let layout = Layout.build program.Ir.globals in
   let store = new_store layout program in
   let st =
-    {
-      program;
-      layout;
-      memio = store_memio store;
-      steps = 0;
-      block_entries = 0;
-      max_steps;
-      hooks;
-      on_marker = None;
-      sampler = None;
-    }
+    make_with ~layout ~hooks ~max_steps ~memio:(store_memio store) program
   in
   if Spt_obs.Metrics.enabled () then set_sampler st;
   let mainf = Ir.func_of_program program "main" in

@@ -42,9 +42,6 @@ type hooks = {
 
 val null_hooks : hooks
 
-(** Fan one event stream out to several consumers. *)
-val combine_hooks : hooks list -> hooks
-
 exception Runtime_error of string
 
 type result = {

@@ -16,42 +16,17 @@
     R" (§4.1). *)
 
 open Spt_ir
-open Spt_interp
+module Engine = Spt_exec.Engine
+module Layout = Spt_interp.Layout
 
 type loop_key = string * int  (** function name, loop header bid *)
 
 type dep_kind = Intra | Cross1 | Cross_far
 
-(* ------------------------------------------------------------------ *)
-(* Runtime structures *)
-
-type loop_frame = {
-  key : loop_key;
-  instance : int;
-  mutable iteration : int;
-  body : Loops.Iset.t;
-}
-
-type call_frame = {
-  cf_func : Ir.func;
-  mutable pending_call : int;  (** iid of the call instruction currently
-                                   executing in this frame, or -1 *)
-  mutable loop_frames : loop_frame list;  (** innermost first *)
-}
-
-type write_record = {
-  wr_key : loop_key;
-  wr_instance : int;
-  wr_iteration : int;
-  wr_owner : int;  (** owner instruction iid at that loop's level *)
-}
-
 type t = {
   loops_of : (string, (int, Loops.Iset.t) Hashtbl.t) Hashtbl.t;
       (** function -> header bid -> body set *)
-  shadow : (int, write_record list) Hashtbl.t;
-  mutable stack : call_frame list;
-  instance_gen : (loop_key, int) Hashtbl.t;
+  instance_gen : (loop_key, int) Hashtbl.t;  (** loop -> instances run *)
   dep_counts : (loop_key * int * int * dep_kind, int) Hashtbl.t;
       (** (loop, writer owner, reader owner, kind) -> events *)
   w_execs : (loop_key * int, int) Hashtbl.t;
@@ -70,128 +45,191 @@ let create (program : Ir.program) =
     program.Ir.funcs;
   {
     loops_of;
-    shadow = Hashtbl.create 4096;
-    stack = [];
     instance_gen = Hashtbl.create 64;
     dep_counts = Hashtbl.create 1024;
     w_execs = Hashtbl.create 256;
   }
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let fresh_instance t key =
-  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.instance_gen key) in
-  Hashtbl.replace t.instance_gen key n;
-  n
+let add tbl key n =
+  if n > 0 then
+    Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 (* ------------------------------------------------------------------ *)
-(* Hook bodies *)
+(* Probe handlers.  Loops are interned to ids; a loop frame's body is a
+   bool array over block ids; the shadow memory is an array over
+   element addresses; event counts are keyed by packed ints.  All of it
+   lives for one run and is added into the tables when it finishes. *)
 
-let on_enter t f =
-  t.stack <- { cf_func = f; pending_call = -1; loop_frames = [] } :: t.stack
+type loop_frame = {
+  lid : int;
+  instance : int;
+  mutable iteration : int;
+  body : bool array;
+}
 
-let on_exit t _f = match t.stack with [] -> () | _ :: rest -> t.stack <- rest
+type call_frame = {
+  mutable pending_call : int;
+      (** iid of the call instruction currently executing in this
+          frame, or -1 *)
+  mutable loop_frames : loop_frame list;  (** innermost first *)
+}
 
-let on_block t f bid =
-  match t.stack with
-  | [] -> ()
-  | frame :: _ ->
-    (* leave loops whose body no longer contains this block *)
-    frame.loop_frames <-
-      List.filter (fun lf -> Loops.Iset.mem bid lf.body) frame.loop_frames;
-    (* entering or continuing a loop whose header this is *)
-    (match Hashtbl.find_opt t.loops_of f.Ir.fname with
-    | None -> ()
-    | Some tbl -> (
-      match Hashtbl.find_opt tbl bid with
-      | None -> ()
-      | Some body -> (
-        let key = (f.Ir.fname, bid) in
-        match frame.loop_frames with
-        | lf :: _ when lf.key = key -> lf.iteration <- lf.iteration + 1
-        | _ ->
-          frame.loop_frames <-
-            {
-              key;
-              instance = fresh_instance t key;
-              iteration = 0;
-              body;
-            }
-            :: frame.loop_frames)))
+type write_record = {
+  wr_lid : int;
+  wr_instance : int;
+  wr_iteration : int;
+  wr_owner : int;  (** owner instruction iid at that loop's level *)
+}
 
-(* The owner chain: every active loop frame across the call stack,
-   paired with the instruction that represents the current event at
-   that loop's level. *)
-let owner_chain t (i : Ir.instr) =
-  match t.stack with
-  | [] -> []
-  | top :: deeper ->
-    let at_top = List.map (fun lf -> (lf, i.Ir.iid)) top.loop_frames in
-    let at_deeper =
-      List.concat_map
-        (fun frame ->
-          List.map (fun lf -> (lf, frame.pending_call)) frame.loop_frames)
-        deeper
-    in
-    at_top @ at_deeper
+module Itbl = Hashtbl.Make (Int)
 
-let on_instr t _f _bid (i : Ir.instr) (eff : Interp.effects) =
-  (match i.Ir.kind with
-  | Ir.Call _ -> (
-    match t.stack with [] -> () | frame :: _ -> frame.pending_call <- i.Ir.iid)
-  | _ -> ());
-  if eff.Interp.loads <> [] || eff.Interp.stores <> [] then begin
-    let chain = owner_chain t i in
-    (* loads first: a load and store by the same instruction (impossible
-       in this IR, but calls could) would see the previous writer *)
-    List.iter
-      (fun (addr, _) ->
-        match Hashtbl.find_opt t.shadow addr with
+let incr_at tbl key =
+  match Itbl.find_opt tbl key with
+  | Some n -> incr n
+  | None -> Itbl.add tbl key (ref 1)
+
+let kinds = [| Intra; Cross1; Cross_far |]
+
+let in_body bid body = bid < Array.length body && body.(bid)
+
+(* every frame stays: a block entry keeps the loop list as it is *)
+let rec all_in bid = function
+  | [] -> true
+  | lf :: tl -> in_body bid lf.body && all_in bid tl
+
+let probes t (prog : Ir.program) =
+  let funcs = Engine.functions prog in
+  (* loop ids, by (function name, header) *)
+  let keys = ref [] and nloops = ref 0 in
+  let headers =
+    Array.map
+      (fun (f : Ir.func) ->
+        let nb = 1 + List.fold_left max (-1) (Ir.block_ids f) in
+        let hs = Array.make nb (-1, [||]) in
+        (match Hashtbl.find_opt t.loops_of f.Ir.fname with
         | None -> ()
-        | Some records ->
-          List.iter
-            (fun (lf, owner) ->
-              match
-                List.find_opt
-                  (fun wr -> wr.wr_key = lf.key && wr.wr_instance = lf.instance)
-                  records
-              with
-              | None -> ()
-              | Some wr ->
-                let kind =
-                  if wr.wr_iteration = lf.iteration then Intra
-                  else if lf.iteration - wr.wr_iteration = 1 then Cross1
-                  else Cross_far
-                in
-                bump t.dep_counts (lf.key, wr.wr_owner, owner, kind))
-            chain)
-      eff.Interp.loads;
-    List.iter
-      (fun (addr, _) ->
-        let records =
-          List.map
-            (fun (lf, owner) ->
-              bump t.w_execs (lf.key, owner);
-              {
-                wr_key = lf.key;
-                wr_instance = lf.instance;
-                wr_iteration = lf.iteration;
-                wr_owner = owner;
-              })
-            chain
-        in
-        Hashtbl.replace t.shadow addr records)
-      eff.Interp.stores
-  end
-
-let hooks t =
+        | Some tbl ->
+          Hashtbl.iter
+            (fun h body ->
+              if h >= 0 && h < nb then begin
+                let size = 1 + Loops.Iset.fold max body (-1) in
+                let mask = Array.make size false in
+                Loops.Iset.iter (fun b -> mask.(b) <- true) body;
+                hs.(h) <- (!nloops, mask);
+                keys := (f.Ir.fname, h) :: !keys;
+                incr nloops
+              end)
+            tbl);
+        hs)
+      funcs
+  in
+  let keys = Array.of_list (List.rev !keys) in
+  let instances = Array.make !nloops 0 in
+  (* owners are iids or -1; packed keys shift them by one *)
+  let span =
+    2
+    + Array.fold_left
+        (fun m (f : Ir.func) -> max m (Spt_util.Idgen.peek f.Ir.instr_gen))
+        0 funcs
+  in
+  let deps = Itbl.create 1024 and writes = Itbl.create 256 in
+  let shadow =
+    Array.make (Layout.total_elements (Layout.build prog.Ir.globals)) []
+  in
+  let stack = ref [] in
+  let on_block fid bid _prev =
+    match !stack with
+    | [] -> ()
+    | frame :: _ -> (
+      if not (all_in bid frame.loop_frames) then
+        frame.loop_frames <-
+          List.filter (fun lf -> in_body bid lf.body) frame.loop_frames;
+      let lid, body = headers.(fid).(bid) in
+      if lid >= 0 then
+        match frame.loop_frames with
+        | lf :: _ when lf.lid = lid -> lf.iteration <- lf.iteration + 1
+        | lfs ->
+          instances.(lid) <- instances.(lid) + 1;
+          frame.loop_frames <-
+            { lid; instance = instances.(lid); iteration = 0; body } :: lfs)
+  in
+  (* the owner chain: every active loop frame across the call stack,
+     paired with the instruction that represents the event at that
+     loop's level — the access itself in the top frame, the pending
+     call below it *)
+  let iter_chain iid f =
+    match !stack with
+    | [] -> ()
+    | top :: deeper ->
+      List.iter (fun lf -> f lf iid) top.loop_frames;
+      List.iter
+        (fun frame ->
+          List.iter (fun lf -> f lf frame.pending_call) frame.loop_frames)
+        deeper
+  in
+  let on_load iid addr =
+    match shadow.(addr) with
+    | [] -> ()
+    | records ->
+      iter_chain iid (fun lf owner ->
+          match
+            List.find_opt
+              (fun wr -> wr.wr_lid = lf.lid && wr.wr_instance = lf.instance)
+              records
+          with
+          | None -> ()
+          | Some wr ->
+            let kind =
+              if wr.wr_iteration = lf.iteration then 0
+              else if lf.iteration - wr.wr_iteration = 1 then 1
+              else 2
+            in
+            incr_at deps
+              ((((((lf.lid * span) + wr.wr_owner + 1) * span) + owner + 1) * 3)
+              + kind))
+  in
+  let on_store iid addr =
+    let records = ref [] in
+    iter_chain iid (fun lf owner ->
+        incr_at writes ((lf.lid * span) + owner + 1);
+        records :=
+          {
+            wr_lid = lf.lid;
+            wr_instance = lf.instance;
+            wr_iteration = lf.iteration;
+            wr_owner = owner;
+          }
+          :: !records);
+    shadow.(addr) <- !records
+  in
+  let finish () =
+    Array.iteri (fun lid n -> add t.instance_gen keys.(lid) n) instances;
+    Itbl.iter
+      (fun k n ->
+        let k, kind = (k / 3, kinds.(k mod 3)) in
+        let k, r = (k / span, (k mod span) - 1) in
+        let lid, w = (k / span, (k mod span) - 1) in
+        add t.dep_counts (keys.(lid), w, r, kind) !n)
+      deps;
+    Itbl.iter
+      (fun k n -> add t.w_execs (keys.(k / span), (k mod span) - 1) !n)
+      writes
+  in
   {
-    Interp.null_hooks with
-    Interp.on_enter = on_enter t;
-    on_exit = on_exit t;
-    on_block = on_block t;
-    on_instr = on_instr t;
+    Engine.no_probes with
+    Engine.on_enter =
+      Some
+        (fun _ -> stack := { pending_call = -1; loop_frames = [] } :: !stack);
+    on_exit =
+      Some (fun _ -> match !stack with [] -> () | _ :: rest -> stack := rest);
+    on_block = Some on_block;
+    on_call =
+      Some
+        (fun iid ->
+          match !stack with [] -> () | frame :: _ -> frame.pending_call <- iid);
+    on_load = Some on_load;
+    on_store = Some on_store;
+    on_finish = Some finish;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -211,7 +249,7 @@ let dep_prob t key ~w ~r kind =
   else Some (min 1.0 (float_of_int (dep_events t key ~w ~r kind) /. float_of_int execs))
 
 (** All (writer, reader, probability) triples observed in [key] for the
-    given kind, writer/reader as owner instruction iids. *)
+    given kind, writer/reader as owner instruction iids, sorted. *)
 let pairs t key kind =
   Hashtbl.fold
     (fun (k, w, r, kd) count acc ->
@@ -222,14 +260,15 @@ let pairs t key kind =
         else acc
       else acc)
     t.dep_counts []
+  |> List.sort compare
 
 (** True when [key] was observed executing at all. *)
 let observed t key = Hashtbl.mem t.instance_gen key
 
 (* ------------------------------------------------------------------ *)
 (* Persistence (the feedback loop's profile store).  Only the count
-   tables travel: the shadow memory and loop/call stacks are live
-   interpreter state and meaningless across runs. *)
+   tables travel: the shadow memory and loop/call stacks are live run
+   state and meaningless across runs. *)
 
 let string_of_kind = function
   | Intra -> "intra"
@@ -253,10 +292,6 @@ let export t =
     d_deps = List.sort compare (pairs t.dep_counts);
     d_writes = List.sort compare (pairs t.w_execs);
   }
-
-let add tbl key n =
-  if n > 0 then
-    Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 let absorb t (d : dump) =
   (* mark every loop in the dump as observed, so {!observed} (which

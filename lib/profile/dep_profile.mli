@@ -9,7 +9,6 @@
     [events(W→R) / executions(W)], the paper's §4.1 definition. *)
 
 open Spt_ir
-open Spt_interp
 
 type loop_key = string * int  (** function name, loop header bid *)
 
@@ -18,7 +17,12 @@ type dep_kind = Intra | Cross1 | Cross_far
 type t
 
 val create : Ir.program -> t
-val hooks : t -> Interp.hooks
+
+(** Probe handlers profiling one engine run of [prog] into [t]
+    ({!Spt_exec.Engine.profile}).  The shadow memory and the loop and
+    call stacks live for that run only; the counts land in [t] when it
+    finishes. *)
+val probes : t -> Ir.program -> Spt_exec.Engine.probes
 
 (** Raw event and execution counts. *)
 val dep_events : t -> loop_key -> w:int -> r:int -> dep_kind -> int
@@ -29,7 +33,8 @@ val write_executions : t -> loop_key -> w:int -> int
     when [w] was never seen writing in this loop. *)
 val dep_prob : t -> loop_key -> w:int -> r:int -> dep_kind -> float option
 
-(** All (writer, reader, probability) triples observed for the kind. *)
+(** All (writer, reader, probability) triples observed for the kind,
+    sorted. *)
 val pairs : t -> loop_key -> dep_kind -> (int * int * float) list
 
 (** True when the loop executed during profiling. *)
@@ -39,7 +44,7 @@ val string_of_kind : dep_kind -> string
 val kind_of_string : string -> dep_kind option
 
 (** A flat, sorted rendering of the count tables for the on-disk
-    profile store.  The shadow memory (live interpreter state) does not
+    profile store.  The shadow memory (live run state) does not
     travel. *)
 type dump = {
   d_deps : ((loop_key * int * int * dep_kind) * int) list;

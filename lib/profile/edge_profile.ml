@@ -8,7 +8,7 @@
     derives average trip counts (§6.1 criterion 4). *)
 
 open Spt_ir
-open Spt_interp
+module Engine = Spt_exec.Engine
 
 type key = string * int  (* function name, block id *)
 type ekey = string * int * int
@@ -50,12 +50,66 @@ let absorb t (d : dump) =
   List.iter (fun (k, n) -> add t.edges k n) d.d_edges;
   List.iter (fun (k, n) -> add t.entries k n) d.d_entries
 
-let hooks t =
+(* Probe handlers: counts accumulate in arrays indexed by function
+   index and block id (edges by the destination's static predecessors)
+   and are added into the tables when the run finishes. *)
+let probes t (prog : Ir.program) =
+  let funcs = Engine.functions prog in
+  let nblocks (f : Ir.func) = 1 + List.fold_left max (-1) (Ir.block_ids f) in
+  let blocks = Array.map (fun f -> Array.make (nblocks f) 0) funcs in
+  let preds =
+    Array.map
+      (fun (f : Ir.func) ->
+        let ps = Array.make (nblocks f) [] in
+        List.iter
+          (fun bid ->
+            List.iter
+              (fun s -> if s < Array.length ps then ps.(s) <- bid :: ps.(s))
+              (List.sort_uniq compare (Ir.term_succs (Ir.block f bid).Ir.term)))
+          (Ir.block_ids f);
+        Array.map Array.of_list ps)
+      funcs
+  in
+  let edges =
+    Array.map (Array.map (fun ps -> Array.make (Array.length ps) 0)) preds
+  in
+  let entries = Array.make (Array.length funcs) 0 in
+  let on_block fid bid prev =
+    let b = blocks.(fid) in
+    b.(bid) <- b.(bid) + 1;
+    if prev >= 0 then begin
+      let ps = preds.(fid).(bid) in
+      let rec find k =
+        if k = Array.length ps then
+          (* not a static predecessor: count it straight into the table *)
+          bump t.edges (funcs.(fid).Ir.fname, prev, bid)
+        else if ps.(k) = prev then
+          let c = edges.(fid).(bid) in
+          c.(k) <- c.(k) + 1
+        else find (k + 1)
+      in
+      find 0
+    end
+  in
+  let finish () =
+    Array.iteri
+      (fun fid (f : Ir.func) ->
+        let name = f.Ir.fname in
+        add t.entries name entries.(fid);
+        Array.iteri (fun bid n -> add t.blocks (name, bid) n) blocks.(fid);
+        Array.iteri
+          (fun dst ps ->
+            Array.iteri
+              (fun k src -> add t.edges (name, src, dst) edges.(fid).(dst).(k))
+              ps)
+          preds.(fid))
+      funcs
+  in
   {
-    Interp.null_hooks with
-    Interp.on_block = (fun f bid -> bump t.blocks (f.Ir.fname, bid));
-    on_edge = (fun f ~src ~dst -> bump t.edges (f.Ir.fname, src, dst));
-    on_enter = (fun f -> bump t.entries f.Ir.fname);
+    Engine.no_probes with
+    Engine.on_enter = Some (fun fid -> entries.(fid) <- entries.(fid) + 1);
+    on_block = Some on_block;
+    on_finish = Some finish;
   }
 
 let block_count t (f : Ir.func) bid =

@@ -4,15 +4,16 @@
     iteration-count criterion. *)
 
 open Spt_ir
-open Spt_interp
 
 type t
 
 val create : unit -> t
 
-(** Hooks to attach to an interpreter run (composable via
-    {!Spt_interp.Interp.combine_hooks}). *)
-val hooks : t -> Interp.hooks
+(** Probe handlers counting one engine run of [prog] into [t]
+    ({!Spt_exec.Engine.profile}; compose with
+    {!Spt_exec.Engine.combine}).  The counts land in [t] when the run
+    finishes. *)
+val probes : t -> Ir.program -> Spt_exec.Engine.probes
 
 val block_count : t -> Ir.func -> int -> int
 val edge_count : t -> Ir.func -> src:int -> dst:int -> int

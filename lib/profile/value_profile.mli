@@ -3,15 +3,17 @@
     [value(n+1) = value(n) + c] to the values they define (stride 0 is
     a last-value predictor). *)
 
-open Spt_interp
-
 (** An instruction to watch, identified by function name and iid. *)
 type target = { tfunc : string; tiid : int }
 
 type t
 
 val create : target list -> t
-val hooks : t -> Interp.hooks
+
+(** Probe handlers watching the targets over one engine run of [prog]
+    ({!Spt_exec.Engine.profile}); the stride counts land in [t] when the
+    run finishes. *)
+val probes : t -> Spt_ir.Ir.program -> Spt_exec.Engine.probes
 
 type prediction = {
   stride : int64;

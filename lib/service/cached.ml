@@ -26,15 +26,17 @@ let profile_digest = function
     Some (Spt_feedback.Profile_store.digest p)
   | Some _ | None -> None
 
-let key_of_prog ~config ?profile prog =
-  Fingerprint.key
+(* the key from the program's digest, computed once per compile *)
+let key_of_digest ~config ?profile digest =
+  Fingerprint.key_of_digest
     ~config_key:
       (Config.cache_key ?profile:(profile_digest profile) config
       ^ ";tool=" ^ tool_version)
-    prog
+    digest
 
 let key_of ~config ?profile source =
-  key_of_prog ~config ?profile (Pipeline.front_end source)
+  key_of_digest ~config ?profile
+    (Fingerprint.program (Pipeline.front_end source))
 
 (* the per-loop artifacts of pass 1/2: what the partition search chose
    and what selection decided, one record per analyzed loop *)
@@ -67,6 +69,7 @@ let compile ~cache ~config ?profile ?profdb ~name source =
   let t0 = Unix.gettimeofday () in
   Spt_obs.Metrics.inc m_compiles;
   let prog = Pipeline.front_end source in
+  let digest = Fingerprint.program prog in
   (* profile resolution: an explicit store always wins; with none, the
      profile database under the cache dir is consulted by the
      config-independent program fingerprint, so warm traffic gets
@@ -82,15 +85,13 @@ let compile ~cache ~config ?profile ?profdb ~name source =
           Spt_profdb.Profdb.for_cache ~tool:tool_version
             (Artifact_cache.dir cache)
       in
-      match
-        Spt_profdb.Profdb.lookup db ~fingerprint:(Fingerprint.program prog)
-      with
+      match Spt_profdb.Profdb.lookup db ~fingerprint:digest with
       | Some (store, gen) when not (Spt_feedback.Profile_store.is_empty store)
         ->
         (Some store, Some gen)
       | Some _ | None -> (None, None))
   in
-  let key = key_of_prog ~config ?profile prog in
+  let key = key_of_digest ~config ?profile digest in
   let finish hit eval report_text =
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Spt_obs.Metrics.observe h_latency elapsed_s;

@@ -122,6 +122,8 @@ let program (p : Ir.program) =
     (List.sort (fun (a, _) (b, _) -> compare a b) p.Ir.funcs);
   digest_of_buf buf
 
-let key ~config_key prog =
+let key_of_digest ~config_key digest =
   Digest.to_hex
-    (Digest.string (String.concat "\x00" [ schema; config_key; program prog ]))
+    (Digest.string (String.concat "\x00" [ schema; config_key; digest ]))
+
+let key ~config_key prog = key_of_digest ~config_key (program prog)

@@ -25,3 +25,7 @@ val program : Spt_ir.Ir.program -> string
     [key ~config_key prog] mixes {!schema}, the configuration token
     (see {!Spt_driver.Config.cache_key}) and the program digest. *)
 val key : config_key:string -> Spt_ir.Ir.program -> string
+
+(** [key] for a program whose {!program} digest is already at hand:
+    [key ~config_key prog = key_of_digest ~config_key (program prog)]. *)
+val key_of_digest : config_key:string -> string -> string

@@ -253,7 +253,7 @@ void main() {
   Passes.optimize_ssa f;
   let ep = Spt_profile.Edge_profile.create () in
   let _ =
-    Spt_interp.Interp.run ~hooks:(Spt_profile.Edge_profile.hooks ep) prog
+    Spt_exec.Engine.profile (Spt_profile.Edge_profile.probes ep prog) prog
   in
   let eff = Effects.compute prog in
   let config =

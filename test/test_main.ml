@@ -12,8 +12,10 @@ let () =
       ("partition", Test_partition.suite);
       ("transform", Test_transform.suite);
       ("profile", Test_profile.suite);
+      ("probes", Test_probes.suite);
       ("tlsim", Test_tlsim.suite);
       ("driver", Test_driver.suite);
+      ("pins", Test_pins.suite);
       ("runtime", Test_runtime.suite);
       ("depth", Test_depth.suite);
       ("feedback", Test_feedback.suite);

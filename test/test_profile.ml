@@ -4,6 +4,7 @@
 
 open Spt_ir
 open Spt_profile
+module Engine = Spt_exec.Engine
 
 let compile src = Lower.lower_program (Spt_srclang.Typecheck.parse_and_check src)
 
@@ -11,10 +12,10 @@ let profile src =
   let prog = compile src in
   let ep = Edge_profile.create () in
   let dp = Dep_profile.create prog in
-  let hooks =
-    Spt_interp.Interp.combine_hooks [ Edge_profile.hooks ep; Dep_profile.hooks dp ]
+  let probes =
+    Engine.combine [ Edge_profile.probes ep prog; Dep_profile.probes dp prog ]
   in
-  let _ = Spt_interp.Interp.run ~hooks prog in
+  let _ = Engine.profile probes prog in
   (prog, ep, dp)
 
 let test_edge_counts () =
@@ -222,7 +223,7 @@ void main() {
       candidates
   in
   let vp = Value_profile.create targets in
-  let _ = Spt_interp.Interp.run ~hooks:(Value_profile.hooks vp) prog in
+  let _ = Engine.profile (Value_profile.probes vp prog) prog in
   (* one of the carried values strides by 7, another (i) by 1 *)
   let strides =
     List.filter_map
@@ -259,7 +260,7 @@ void main() {
     List.map (fun (_, d) -> { Value_profile.tfunc = "main"; tiid = d }) candidates
   in
   let vp = Value_profile.create targets in
-  let _ = Spt_interp.Interp.run ~hooks:(Value_profile.hooks vp) prog in
+  let _ = Engine.profile (Value_profile.probes vp prog) prog in
   (* the LCG-like chain must not be predictable (i's stride-1 is) *)
   List.iter
     (fun (_, def) ->
