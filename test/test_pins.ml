@@ -1,14 +1,16 @@
 (** Compile pins: the [Config.best] SPT compile of every suite
     workload, example and corpus program, hashed over the transformed
     program's fingerprint and each loop record's decision, cost,
-    pre-fork size, depth and SVP flag.  A refactor that moves any of
-    them fails here; a change meant to move them updates the table and
-    says why. *)
+    pre-fork size, depth and SVP flag.  The other [Config.all] presets
+    are pinned over the examples and corpus, and [Config.best] over the
+    first generated programs of the [serve_mix] benchmark's cold pool.
+    A refactor that moves any of them fails here; a change meant to
+    move them updates the table and says why. *)
 
 open Spt_driver
 
-let pin_hash src =
-  match Pipeline.compile_spt Config.best src with
+let pin_hash ?(config = Config.best) src =
+  match Pipeline.compile_spt config src with
   | exception e ->
     Digest.to_hex (Digest.string ("error:" ^ Printexc.to_string e))
   | c ->
@@ -56,6 +58,94 @@ let pins =
     ("test/corpus/reg_shared_latch_phi.c", "f5ee9914c4497932240e53042003f612");
   ]
 
+(* The other [Config.all] presets over the examples and corpus
+   ([Config.best] is pinned above) *)
+let preset_pins =
+  [
+    (("basic", "examples/src/feedback_loop.c"), "c8200ac974770b3adac77940721ab8e4");
+    (("basic", "examples/src/histogram.c"), "af240cf1287d8983cc7708f8bab69943");
+    (("basic", "examples/src/scan.c"), "2fe45fd7027777c9345d49fb605bbc7a");
+    (("basic", "examples/src/smoothing.c"), "96ec7c469572461b0081094c0972bd14");
+    (("basic", "test/corpus/int_s42_c0.c"), "2524c206df35880374a392dd00e0bdd8");
+    (("basic", "test/corpus/int_s42_c1.c"), "ae41299e261161ea03fb7a3fc5a9a71b");
+    (("basic", "test/corpus/int_s42_c2.c"), "2440897ea5541aa70e6183b651f6303c");
+    (("basic", "test/corpus/int_s42_c3.c"), "aa98e8cf8ffbe2f0856e5a9fbab8c1c7");
+    (("basic", "test/corpus/reg_dowhile_phi.c"), "7a4c5a71da2a786f08cb961002fc3d65");
+    (("basic", "test/corpus/reg_header_branch.c"), "b6df2bc8afe8a1d15b9e600070298d68");
+    (("basic", "test/corpus/reg_shared_latch_phi.c"), "f5ee9914c4497932240e53042003f612");
+    (("anticipated", "examples/src/feedback_loop.c"), "c3ff324d9e5b725a8c28ef6f5897f292");
+    (("anticipated", "examples/src/histogram.c"), "90603f5049f24e8593cea20718779801");
+    (("anticipated", "examples/src/scan.c"), "2ed92bc7d341dfaa9bf89d1e01c73798");
+    (("anticipated", "examples/src/smoothing.c"), "56c9f7973aff9f5311521b3fba73fe9d");
+    (("anticipated", "test/corpus/int_s42_c0.c"), "d3d383ad92ec2f120a2d0653a92af464");
+    (("anticipated", "test/corpus/int_s42_c1.c"), "2728791859e8c9af87ee4a62517ddec8");
+    (("anticipated", "test/corpus/int_s42_c2.c"), "601c06d48801a2f167ca4425d4ca86ee");
+    (("anticipated", "test/corpus/int_s42_c3.c"), "0387ce28c6dd81d61ee7c4eb7b687f91");
+    (("anticipated", "test/corpus/reg_dowhile_phi.c"), "07f0256343e1121333f3322e0375f899");
+    (("anticipated", "test/corpus/reg_header_branch.c"), "4bba245ddcf687b2b5e6e59b2f0d4f31");
+    (("anticipated", "test/corpus/reg_shared_latch_phi.c"), "f5ee9914c4497932240e53042003f612");
+    (("best-inline", "examples/src/feedback_loop.c"), "c3ff324d9e5b725a8c28ef6f5897f292");
+    (("best-inline", "examples/src/histogram.c"), "c596c8492a0d4441579116d18a625735");
+    (("best-inline", "examples/src/scan.c"), "d57a7cbd327326ae0245e84faa6c16b5");
+    (("best-inline", "examples/src/smoothing.c"), "56c9f7973aff9f5311521b3fba73fe9d");
+    (("best-inline", "test/corpus/int_s42_c0.c"), "d3d383ad92ec2f120a2d0653a92af464");
+    (("best-inline", "test/corpus/int_s42_c1.c"), "df3052ca823394cc15affa08bc4f00b8");
+    (("best-inline", "test/corpus/int_s42_c2.c"), "a41e2d0bb5efb41a3eae9ce0d2b3ca71");
+    (("best-inline", "test/corpus/int_s42_c3.c"), "3f874c6d5d4c5f0b197d6a383f02e2e9");
+    (("best-inline", "test/corpus/reg_dowhile_phi.c"), "51bf9a26630207d18ca4b022d4dfcdde");
+    (("best-inline", "test/corpus/reg_header_branch.c"), "e72cc316defb2c98b7c9f663aa3f354d");
+    (("best-inline", "test/corpus/reg_shared_latch_phi.c"), "f5ee9914c4497932240e53042003f612");
+  ]
+
+(* [Config.best] over the first programs of the serve_mix benchmark's
+   cold pool: Spt_fuzz.Gen case seeds 0xC01D/0, 0xC01D/1, ... *)
+let gen_pins =
+  [|
+    "af6e7b12f0b593c92b4bd28af5d1ee5c";
+    "ac534d3e94fecec6081d3b1c20bc847b";
+    "89bccf1c251f5aa02d016a14ce95adca";
+    "1272e910dfae92c030113b1991ab78ab";
+    "135a9494faea2d264bbca22ef7ef351d";
+    "82573609b93cc2aa9e7b54aebbfaddd1";
+    "a6a547fd1e7d07beb9655e96f8de6cd3";
+    "97cc5e51284f9a273526ae223b9f1d48";
+    "adf6cab481406d375a2f65ca28cb3c86";
+    "7c1a893b9cf591d0ecb1a74e73d5569c";
+    "95ede3e68045b8b941ae807abc94543e";
+    "493f2ad7f43b625c8afc69bd307891df";
+    "e7619ac6ba74854c1d376e0ab4274c7e";
+    "0568d52b17f0fbfd81707a692b4e717b";
+    "759475f11006d1c00ca88b70d2e99821";
+    "be5620865120d01532f11effe014e2de";
+    "f4991b5a6bbfb91c6ba1c2a792daee4b";
+    "d4137cc5cf4f7e6fd884bab9e849fc26";
+    "0af3ef35ed41b26f44793ab1a51efe13";
+    "2dc71548e02861385b10c2814de29f01";
+    "0158ca43afc6c2735e0f4a452b2ed7e3";
+    "89cbd5d770e51712c3eaa12ce461d915";
+    "5eda8b6bba812ece279a88a1dc1dcd9f";
+    "cda98d03b8d3f2aba4d9ef363c309f53";
+    "ee67a7f374b99b37a130f009bac65c4f";
+    "3dfcce645d626b2745430837fa5e391e";
+    "9fe19110f433702eb43f5b3a7facf22c";
+    "da25682a9d687d71980e67ced3bd6516";
+    "9bc5f8c0eb49c621c8d2bbd936703ef8";
+    "b1a3fe885a143830c11c3e9f372c9880";
+    "22b5366790ba676ce052b84f135c771f";
+    "a6c50cd76a6d228d32d84702a53f49d1";
+    "1c2f613f21a9ac14dc713b17fc33a45a";
+    "6bc710c3783ca2921615385d5c7f4b2d";
+    "d4b52be67249ecfe04002bf10fd020e8";
+    "e06138ccff9eb34445895918beed9473";
+    "4b82bab5d67fe8114e83b5ab520d565a";
+    "92eb51d3374c352b31ae3746bbfb1991";
+    "8d9a2498c8fa5effea74a9c88d1a1925";
+    "a6fa7ba5d2f1c167a71316c19c7d6583";
+  |]
+
+let gen_source k =
+  Spt_fuzz.Gen.(to_source (generate ~seed:(case_seed ~seed:0xC01D ~index:k) ()))
+
 (* cwd is _build/default/test under [dune runtest], the workspace root
    under [dune exec test/test_main.exe] *)
 let root = if Sys.file_exists "../examples/src" then ".." else "."
@@ -72,19 +162,47 @@ let test_pins () =
       Alcotest.(check string) name expected (pin_hash (source name)))
     pins
 
+let test_preset_pins () =
+  List.iter
+    (fun ((preset, name), expected) ->
+      Alcotest.(check string) (preset ^ " " ^ name) expected
+        (pin_hash ~config:(Config.by_name preset) (source name)))
+    preset_pins
+
+let test_gen_pins () =
+  Array.iteri
+    (fun k expected ->
+      Alcotest.(check string) (Printf.sprintf "0xC01D/%d" k) expected
+        (pin_hash (gen_source k)))
+    gen_pins
+
 let test_every_program_pinned () =
-  (* a new example or corpus program needs a pin *)
+  (* a new example or corpus program needs a pin under every preset *)
   List.iter
     (fun dir ->
       Sys.readdir (Filename.concat root dir)
       |> Array.iter (fun f ->
-             if Filename.check_suffix f ".c" then
+             if Filename.check_suffix f ".c" then begin
+               let name = dir ^ "/" ^ f in
                Alcotest.(check bool) (f ^ " pinned") true
-                 (List.mem_assoc (dir ^ "/" ^ f) pins)))
+                 (List.mem_assoc name pins);
+               List.iter
+                 (fun (c : Config.t) ->
+                   if c.Config.name <> Config.best.Config.name then
+                     Alcotest.(check bool)
+                       (f ^ " pinned under " ^ c.Config.name)
+                       true
+                       (List.mem_assoc (c.Config.name, name) preset_pins))
+                 Config.all
+             end))
     [ "examples/src"; "test/corpus" ]
 
 let suite =
   [
     Alcotest.test_case "best compiles match their pins" `Slow test_pins;
+    Alcotest.test_case "preset compiles match their pins" `Slow
+      test_preset_pins;
+    Alcotest.test_case "generated compiles match their pins" `Slow
+      test_gen_pins;
     Alcotest.test_case "every program is pinned" `Quick test_every_program_pinned;
   ]
