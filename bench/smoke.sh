@@ -33,8 +33,8 @@ require_key() {
 
 require_key "$trace" traceEvents
 require_key "$trace" dur
-for name in frontend ssa.construct profile pass1.analyze pass2.select \
-  transform simulate.base simulate.spt; do
+for name in frontend ssa.construct ssa.optimize profile pass1.analyze \
+  pass2.select transform simulate.base simulate.spt; do
   require_key "$trace" "$name"
 done
 

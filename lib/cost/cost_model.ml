@@ -54,6 +54,109 @@ type combine = [ `Independent | `Max_rule | `Per_seed ]
 
 type gedge = { gsrc : int; gdst : int; gprob : float }
 
+(* A cost graph laid out for evaluation: its nodes in topological
+   order, each with its incoming edges as (source position,
+   probability).  A loop's layout is built once, with its cost graph,
+   and every partition the search prices is evaluated over it. *)
+type layout = {
+  ids : int array;  (** node id at each topological position *)
+  pseudo : bool array;  (** per position: a violation-candidate pseudo-node *)
+  preds : (int * float) list array;
+      (** per position: incoming edges, the last given first *)
+  seeds : int array;  (** positions of the pseudo-nodes, in the given order *)
+  ops : int array;  (** positions of the operation nodes, in the given order *)
+}
+
+let layout ~op_nodes ~vc_pseudo edges =
+  let succs_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace succs_tbl e.gsrc
+        (e.gdst :: Option.value ~default:[] (Hashtbl.find_opt succs_tbl e.gsrc)))
+    edges;
+  let succs n = Option.value ~default:[] (Hashtbl.find_opt succs_tbl n) in
+  let ids =
+    Array.of_list (Spt_util.Topo_sort.sort ~nodes:(vc_pseudo @ op_nodes) ~succs)
+  in
+  let n = Array.length ids in
+  let pos_tbl = Hashtbl.create (2 * n) in
+  Array.iteri (fun p id -> Hashtbl.replace pos_tbl id p) ids;
+  let pos id =
+    match Hashtbl.find_opt pos_tbl id with
+    | Some p -> p
+    | None -> invalid_arg "Cost_model: edge from a node outside the graph"
+  in
+  let pseudo = Array.make n false in
+  List.iter (fun id -> pseudo.(pos id) <- true) vc_pseudo;
+  let preds = Array.make n [] in
+  List.iter
+    (fun e ->
+      let d = pos e.gdst in
+      preds.(d) <- (pos e.gsrc, e.gprob) :: preds.(d))
+    edges;
+  {
+    ids;
+    pseudo;
+    preds;
+    seeds = Array.of_list (List.map pos vc_pseudo);
+    ops = Array.of_list (List.map pos op_nodes);
+  }
+
+(* the node-level rules over a layout; probabilities by position *)
+let propagate ~combine l ~vc_prob =
+  let v = Array.make (Array.length l.ids) 0.0 in
+  Array.iter (fun p -> v.(p) <- vc_prob l.ids.(p)) l.seeds;
+  Array.iteri
+    (fun p preds ->
+      if not l.pseudo.(p) then
+        v.(p) <-
+          List.fold_left
+            (fun x (q, prob) ->
+              match combine with
+              | `Independent -> 1.0 -. ((1.0 -. x) *. (1.0 -. (prob *. v.(q))))
+              | `Max_rule -> Float.max x (prob *. v.(q)))
+            0.0 preds)
+    l.preds;
+  v
+
+(* the per-seed rule over a layout: each seed's max-product reach,
+   walked from the seed's own position (nothing earlier is reachable
+   from it), folded into every operation's survival product *)
+let propagate_per_seed l ~vc_prob =
+  let n = Array.length l.ids in
+  let v = Array.make n 1.0 in
+  (* reach > 0 marks a node the current seed reaches *)
+  let reach = Array.make n 0.0 in
+  Array.iter
+    (fun s ->
+      let p_seed = vc_prob l.ids.(s) in
+      if p_seed > 0.0 then begin
+        reach.(s) <- 1.0;
+        for p = s + 1 to n - 1 do
+          if not l.pseudo.(p) then begin
+            let r =
+              List.fold_left
+                (fun acc (q, prob) ->
+                  let rq = reach.(q) in
+                  if rq > 0.0 then Float.max acc (rq *. prob) else acc)
+                0.0 l.preds.(p)
+            in
+            reach.(p) <- r;
+            if r > 0.0 then v.(p) <- v.(p) *. (1.0 -. (p_seed *. r))
+          end
+        done;
+        Array.fill reach s (n - s) 0.0
+      end)
+    l.seeds;
+  Array.iter (fun p -> v.(p) <- 1.0 -. v.(p)) l.ops;
+  Array.iter (fun p -> v.(p) <- vc_prob l.ids.(p)) l.seeds;
+  v
+
+let to_table l v =
+  let tbl = Hashtbl.create (2 * Array.length v) in
+  Array.iteri (fun p x -> Hashtbl.replace tbl l.ids.(p) x) v;
+  tbl
+
 (** [compute] returns the re-execution probability of every node.
 
     [nodes] must be closed under [initial] and [intra] edge endpoints;
@@ -61,97 +164,16 @@ type gedge = { gsrc : int; gdst : int; gprob : float }
     operation ids.  [intra] edges must be acyclic. *)
 let compute ?(combine = `Independent) ~op_nodes ~vc_pseudo ~initial ~intra
     ~vc_prob () : (int, float) Hashtbl.t =
-  let all_nodes = vc_pseudo @ op_nodes in
-  let succs_tbl = Hashtbl.create 64 in
-  let preds_tbl = Hashtbl.create 64 in
-  let push tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  List.iter
-    (fun e ->
-      push succs_tbl e.gsrc e.gdst;
-      push preds_tbl e.gdst e)
-    (initial @ intra);
-  let succs n = Option.value ~default:[] (Hashtbl.find_opt succs_tbl n) in
-  let order = Spt_util.Topo_sort.sort ~nodes:all_nodes ~succs in
-  let v = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace v n (vc_prob n)) vc_pseudo;
-  List.iter
-    (fun n ->
-      if not (Hashtbl.mem v n) then begin
-        let x =
-          List.fold_left
-            (fun x e ->
-              let vp = Option.value ~default:0.0 (Hashtbl.find_opt v e.gsrc) in
-              match combine with
-              | `Independent | `Per_seed ->
-                1.0 -. ((1.0 -. x) *. (1.0 -. (e.gprob *. vp)))
-              | `Max_rule -> Float.max x (e.gprob *. vp))
-            0.0
-            (Option.value ~default:[] (Hashtbl.find_opt preds_tbl n))
-        in
-        Hashtbl.replace v n x
-      end)
-    order;
-  v
+  let l = layout ~op_nodes ~vc_pseudo (initial @ intra) in
+  to_table l (propagate ~combine l ~vc_prob)
 
 (** Per-seed evaluation: for every violation candidate pseudo-node,
     propagate its probability with max-product path strength, then
     combine candidates independently at each node. *)
 let compute_per_seed ~op_nodes ~vc_pseudo ~initial ~intra ~vc_prob () :
     (int, float) Hashtbl.t =
-  let all_nodes = vc_pseudo @ op_nodes in
-  let succs_tbl = Hashtbl.create 64 in
-  let preds_tbl = Hashtbl.create 64 in
-  let push tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  List.iter
-    (fun e ->
-      push succs_tbl e.gsrc e.gdst;
-      push preds_tbl e.gdst e)
-    (initial @ intra);
-  let succs n = Option.value ~default:[] (Hashtbl.find_opt succs_tbl n) in
-  let order = Spt_util.Topo_sort.sort ~nodes:all_nodes ~succs in
-  let v = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace v n 1.0) op_nodes;
-  (* v starts as the survival product Π (1 - p_s · reach_s) *)
-  List.iter
-    (fun seed ->
-      let p_seed = vc_prob seed in
-      if p_seed > 0.0 then begin
-        let reach = Hashtbl.create 64 in
-        Hashtbl.replace reach seed 1.0;
-        List.iter
-          (fun n ->
-            if n <> seed && not (List.mem n vc_pseudo) then begin
-              let r =
-                List.fold_left
-                  (fun acc e ->
-                    match Hashtbl.find_opt reach e.gsrc with
-                    | Some rs -> Float.max acc (rs *. e.gprob)
-                    | None -> acc)
-                  0.0
-                  (Option.value ~default:[] (Hashtbl.find_opt preds_tbl n))
-              in
-              if r > 0.0 then Hashtbl.replace reach n r
-            end)
-          order;
-        Hashtbl.iter
-          (fun n r ->
-            if n <> seed then
-              let cur = Option.value ~default:1.0 (Hashtbl.find_opt v n) in
-              Hashtbl.replace v n (cur *. (1.0 -. (p_seed *. r))))
-          reach
-      end)
-    vc_pseudo;
-  List.iter
-    (fun n ->
-      let surv = Option.value ~default:1.0 (Hashtbl.find_opt v n) in
-      Hashtbl.replace v n (1.0 -. surv))
-    op_nodes;
-  List.iter (fun s -> Hashtbl.replace v s (vc_prob s)) vc_pseudo;
-  v
+  let l = layout ~op_nodes ~vc_pseudo (initial @ intra) in
+  to_table l (propagate_per_seed l ~vc_prob)
 
 (* ------------------------------------------------------------------ *)
 (* Cost graph over a Depgraph *)
@@ -162,6 +184,9 @@ type t = {
   op_nodes : int list;  (** operation nodes in the cost graph *)
   initial : gedge list;  (** pseudo(vc) -> reader edges *)
   intra : gedge list;  (** propagation edges among operations *)
+  layout : layout;
+  op_cost : float array;  (** Cost(c) of each operation node, as [op_nodes] *)
+  op_freq : float array;  (** executions per iteration, as [op_nodes] *)
 }
 
 (* pseudo-node ids never collide with instruction iids, which are
@@ -209,31 +234,44 @@ let build (graph : Depgraph.t) =
         else None)
       intra_all
   in
+  let layout =
+    layout ~op_nodes ~vc_pseudo:(List.map pseudo_of_vc vcs) (initial @ intra)
+  in
+  let per_op f = Array.of_list (List.map f op_nodes) in
   Spt_obs.Metrics.inc m_builds;
   Spt_obs.Metrics.add m_graph_nodes (List.length op_nodes);
-  { graph; vcs; op_nodes; initial; intra }
+  {
+    graph;
+    vcs;
+    op_nodes;
+    initial;
+    intra;
+    layout;
+    op_cost =
+      per_op (fun iid ->
+          float_of_int (Ir.op_cost (Depgraph.instr graph iid).Ir.kind));
+    op_freq = per_op (Depgraph.freq graph);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Partition evaluation *)
+
+(* re-execution probability by layout position; the pre-fork region's
+   operations are left to the caller *)
+let probs ~combine t ~prefork =
+  let vc_prob p =
+    let vc = vc_of_pseudo p in
+    if Iset.mem vc prefork then 0.0 else Depgraph.violation_prob t.graph vc
+  in
+  match combine with
+  | `Per_seed -> propagate_per_seed t.layout ~vc_prob
+  | (`Independent | `Max_rule) as combine -> propagate ~combine t.layout ~vc_prob
 
 (** Re-execution probability of every operation node of the cost graph
     for the partition whose pre-fork *statement* set is [prefork]
     (instruction iids, as produced by {!Partition.closure}). *)
 let reexec_probs ?(combine = `Per_seed) t ~prefork =
-  let vc_pseudo = List.map pseudo_of_vc t.vcs in
-  let vc_prob p =
-    let vc = vc_of_pseudo p in
-    if Iset.mem vc prefork then 0.0 else Depgraph.violation_prob t.graph vc
-  in
-  let v =
-    match combine with
-    | `Per_seed ->
-      compute_per_seed ~op_nodes:t.op_nodes ~vc_pseudo ~initial:t.initial
-        ~intra:t.intra ~vc_prob ()
-    | (`Independent | `Max_rule) as combine ->
-      compute ~combine ~op_nodes:t.op_nodes ~vc_pseudo ~initial:t.initial
-        ~intra:t.intra ~vc_prob ()
-  in
+  let v = to_table t.layout (probs ~combine t ~prefork) in
   (* operations in the pre-fork region execute before the fork and
      cannot be misspeculated *)
   Iset.iter (fun iid -> if Hashtbl.mem v iid then Hashtbl.replace v iid 0.0) prefork;
@@ -242,21 +280,18 @@ let reexec_probs ?(combine = `Per_seed) t ~prefork =
 (** Misspeculation cost of a partition (§4.2.4): expected amount of
     re-executed computation per speculative iteration, in elementary
     operation units. *)
-let misspeculation_cost ?combine t ~prefork =
+let misspeculation_cost ?(combine = `Per_seed) t ~prefork =
   Spt_obs.Metrics.inc m_evaluations;
-  let v = reexec_probs ?combine t ~prefork in
-  List.fold_left
-    (fun acc iid ->
-      if is_pseudo iid || Iset.mem iid prefork then acc
-      else
-        let p = Option.value ~default:0.0 (Hashtbl.find_opt v iid) in
-        let i = Depgraph.instr t.graph iid in
+  let v = probs ~combine t ~prefork in
+  let cost = ref 0.0 in
+  Array.iteri
+    (fun k p ->
+      if not (Iset.mem t.layout.ids.(p) prefork) then
         (* Cost(c) weighted by executions per iteration: an operation
            in a nested loop re-executes once per inner trip *)
-        acc
-        +. p *. float_of_int (Ir.op_cost i.Ir.kind)
-           *. Depgraph.freq t.graph iid)
-    0.0 t.op_nodes
+        cost := !cost +. (v.(p) *. t.op_cost.(k) *. t.op_freq.(k)))
+    t.layout.ops;
+  !cost
 
 (** A partition cost normalized to the loop body: the predicted
     per-iteration misspeculation fraction.  This is the model-side

@@ -31,7 +31,9 @@ type gedge = { gsrc : int; gdst : int; gprob : float }
 
 (** Generic node-level propagation over an explicit graph (used by the
     Fig. 5/6 worked-example tests); returns each node's re-execution
-    probability.  [intra] must be acyclic. *)
+    probability.  [intra] must be acyclic, and every edge endpoint a
+    given node.
+    @raise Invalid_argument on an edge from a node outside the graph. *)
 val compute :
   ?combine:[ `Independent | `Max_rule ] ->
   op_nodes:int list ->
@@ -52,13 +54,22 @@ val compute_per_seed :
   unit ->
   (int, float) Hashtbl.t
 
-(** A loop's cost graph, built once and evaluated per partition. *)
+(** A cost graph laid out for evaluation: nodes in topological order
+    with their incoming edges. *)
+type layout
+
+(** A loop's cost graph, built once and evaluated per partition: its
+    layout and operation weights are computed by {!build}, so pricing a
+    partition only propagates probabilities. *)
 type t = {
   graph : Depgraph.t;
   vcs : int list;  (** violation candidates, sorted *)
   op_nodes : int list;  (** operation nodes of the cost graph *)
   initial : gedge list;  (** pseudo(vc) → reader edges *)
   intra : gedge list;  (** propagation edges among operations *)
+  layout : layout;
+  op_cost : float array;  (** Cost(c) of each operation, as [op_nodes] *)
+  op_freq : float array;  (** executions per iteration, as [op_nodes] *)
 }
 
 (** Pseudo-node id for a violation candidate (instruction iids are

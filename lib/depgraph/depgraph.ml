@@ -162,7 +162,8 @@ let may_alias config a b =
    leaves through the inner loop's exits — so the inner back edge is
    redirected to those exit targets.  (Routing it to the sink instead
    would make everything after an inner loop spuriously
-   control-dependent on it.) *)
+   control-dependent on it.)  Each body block's successors are computed
+   once; the returned function looks them up. *)
 let body_dag (f : Ir.func) (loop : Loops.loop) =
   let dom = Dominance.compute (Cfg.of_func f) in
   let body = loop.Loops.body in
@@ -209,12 +210,13 @@ let body_dag (f : Ir.func) (loop : Loops.loop) =
     in
     List.sort_uniq compare (keep @ extra)
   in
-  succs
+  let tbl = Hashtbl.create 16 in
+  Loops.Iset.iter (fun bid -> Hashtbl.replace tbl bid (succs bid)) body;
+  Hashtbl.find tbl
 
 (* postdom.(b) = set of blocks post-dominating b within the iteration *)
-let postdominators (f : Ir.func) (loop : Loops.loop) =
+let postdominators ~dag:succs (loop : Loops.loop) =
   let body = Loops.Iset.elements loop.Loops.body in
-  let succs = body_dag f loop in
   let universe = Iset.add (-1) (Iset.of_list body) in
   let pd = Hashtbl.create 16 in
   Hashtbl.replace pd (-1) (Iset.singleton (-1));
@@ -245,8 +247,8 @@ let postdominators (f : Ir.func) (loop : Loops.loop) =
 (* For each block, the branch blocks it is control-dependent on:
    B depends on branch C iff B post-dominates some in-body successor of
    C but does not post-dominate C. *)
-let control_deps (f : Ir.func) (loop : Loops.loop) =
-  let pd = postdominators f loop in
+let control_deps_over ~dag (f : Ir.func) (loop : Loops.loop) =
+  let pd = postdominators ~dag loop in
   let postdom b x = b <> -1 && Iset.mem b (Hashtbl.find pd x) in
   let deps = Hashtbl.create 16 in
   Loops.Iset.iter
@@ -269,13 +271,14 @@ let control_deps (f : Ir.func) (loop : Loops.loop) =
     loop.Loops.body;
   deps
 
+let control_deps f loop = control_deps_over ~dag:(body_dag f loop) f loop
+
 (* ------------------------------------------------------------------ *)
 (* Intra-iteration ordering: can [a] execute before [b] in one
    iteration?  Same block: position order; otherwise: reachability in
    the body DAG. *)
 
-let intra_reach (f : Ir.func) (loop : Loops.loop) =
-  let succs = body_dag f loop in
+let intra_reach ~dag:succs (loop : Loops.loop) =
   let reach = Hashtbl.create 16 in
   let rec compute bid =
     match Hashtbl.find_opt reach bid with
@@ -341,8 +344,11 @@ let build ?(config = default_config) effects_tbl (f : Ir.func) (loop : Loops.loo
      still connect inner producers to outer consumers, so legality
      closures remain safe while the cost of repeated inner iterations
      is approximated by a single pass. *)
+  (* the one-iteration body DAG, shared by the ordering and the
+     control dependences *)
+  let dag = body_dag f loop in
   let before =
-    let reach = intra_reach f loop in
+    let reach = intra_reach ~dag loop in
     fun a b ->
       let _, ba, pa = Hashtbl.find instr_tbl a in
       let _, bb, pb = Hashtbl.find instr_tbl b in
@@ -463,7 +469,7 @@ let build ?(config = default_config) effects_tbl (f : Ir.func) (loop : Loops.loo
     mem_nodes;
   (* --- control dependences --- *)
   if config.include_control then begin
-    let cdeps = control_deps f loop in
+    let cdeps = control_deps_over ~dag f loop in
     let cond_def_of_block = Hashtbl.create 8 in
     Loops.Iset.iter
       (fun bid ->

@@ -98,7 +98,7 @@ let to_ssa (prog : Ir.program) =
       List.iter
         (fun (_, f) ->
           Ssa.construct f;
-          Passes.optimize_ssa f)
+          Obs.Trace.span "ssa.optimize" (fun () -> Passes.optimize_ssa f))
         prog.Ir.funcs)
 
 let out_of_ssa ?(phi_primed = fun _ -> None) (prog : Ir.program) =
@@ -114,8 +114,9 @@ let out_of_ssa ?(phi_primed = fun _ -> None) (prog : Ir.program) =
     speedups measure speculation rather than unrolling. *)
 let compile_base ?(unroll = Unroll.default_policy) ?(inline = false) src =
   let prog = front_end src in
-  if inline then ignore (Inline.run prog);
-  List.iter (fun (_, f) -> ignore (Unroll.run f unroll)) prog.Ir.funcs;
+  if inline then Obs.Trace.span "inline" (fun () -> ignore (Inline.run prog));
+  Obs.Trace.span "unroll" (fun () ->
+      List.iter (fun (_, f) -> ignore (Unroll.run f unroll)) prog.Ir.funcs);
   to_ssa prog;
   out_of_ssa prog;
   prog

@@ -93,7 +93,6 @@ let remove_unreachable (f : Ir.func) =
 (** Redirect the [old_dst] successor of [b]'s terminator to [new_dst]. *)
 let retarget_term b ~old_dst ~new_dst =
   let sub t = if t = old_dst then new_dst else t in
-  b.Ir.instrs <- b.Ir.instrs;
   b.Ir.term <-
     (match b.Ir.term with
     | Ir.Jump t -> Ir.Jump (sub t)

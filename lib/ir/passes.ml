@@ -225,49 +225,48 @@ let eliminate_dead_code (f : Ir.func) =
 (* ------------------------------------------------------------------ *)
 (* CFG simplification *)
 
+let has_phi (b : Ir.block) =
+  List.exists (fun (i : Ir.instr) -> Ir.is_phi i.Ir.kind) b.Ir.instrs
+
 let simplify_cfg (f : Ir.func) =
   let changed = ref false in
   if Cfg.remove_unreachable f > 0 then changed := true;
-  (* merge straight-line pairs: b -> s with b sole pred of s *)
-  let continue_merging = ref true in
-  while !continue_merging do
-    continue_merging := false;
-    let cfg = Cfg.of_func f in
-    let candidate =
-      List.find_opt
-        (fun bid ->
-          match (Ir.block f bid).Ir.term with
-          | Ir.Jump s ->
-            s <> bid && s <> f.Ir.entry
-            && Cfg.predecessors cfg s = [ bid ]
-            && not
-                 (List.exists
-                    (fun (i : Ir.instr) -> Ir.is_phi i.Ir.kind)
-                    (Ir.block f s).Ir.instrs)
-          | _ -> false)
-        (Cfg.reverse_postorder cfg)
-    in
-    match candidate with
-    | Some bid ->
-      let b = Ir.block f bid in
-      (match b.Ir.term with
-      | Ir.Jump s ->
-        let sb = Ir.block f s in
-        b.Ir.instrs <- b.Ir.instrs @ sb.Ir.instrs;
-        b.Ir.term <- sb.Ir.term;
-        (* the merged block keeps a loop-origin tag if either had one *)
-        if b.Ir.loop_origin = None then b.Ir.loop_origin <- sb.Ir.loop_origin;
-        (* successors' phis referring to s now come from b *)
-        List.iter
-          (fun succ ->
-            Cfg.retarget_phis (Ir.block f succ) ~old_pred:s ~new_pred:bid)
-          (Ir.term_succs sb.Ir.term);
-        Ir.remove_block f s;
-        changed := true;
-        continue_merging := true
-      | _ -> ())
-    | None -> ()
-  done;
+  (* merge straight-line pairs b -> s (b the sole predecessor of s) in
+     one reverse-postorder walk, each chain into its head.  Merging s
+     into b changes no other block's eligibility (s's successors trade
+     predecessor s for b, keeping their counts) and removes only s,
+     which comes after b in the order *)
+  let cfg = Cfg.of_func f in
+  let sole_pred s = match Cfg.predecessors cfg s with [ _ ] -> true | _ -> false in
+  List.iter
+    (fun bid ->
+      if Hashtbl.mem f.Ir.blocks bid then begin
+        let b = Ir.block f bid in
+        (* [tail]: the merged blocks' instructions, last chain link first *)
+        let rec merge tail =
+          match b.Ir.term with
+          | Ir.Jump s
+            when s <> bid && s <> f.Ir.entry && sole_pred s
+                 && not (has_phi (Ir.block f s)) ->
+            let sb = Ir.block f s in
+            b.Ir.term <- sb.Ir.term;
+            (* the merged block keeps a loop-origin tag if either had one *)
+            if b.Ir.loop_origin = None then b.Ir.loop_origin <- sb.Ir.loop_origin;
+            (* successors' phis referring to s now come from b *)
+            List.iter
+              (fun succ ->
+                Cfg.retarget_phis (Ir.block f succ) ~old_pred:s ~new_pred:bid)
+              (Ir.term_succs sb.Ir.term);
+            Ir.remove_block f s;
+            changed := true;
+            merge (sb.Ir.instrs :: tail)
+          | _ ->
+            if tail <> [] then
+              b.Ir.instrs <- List.concat (b.Ir.instrs :: List.rev tail)
+        in
+        merge []
+      end)
+    (Cfg.reverse_postorder cfg);
   (* skip empty forwarding blocks (only when the target has no phis) *)
   let cfg = Cfg.of_func f in
   List.iter
@@ -275,12 +274,7 @@ let simplify_cfg (f : Ir.func) =
       let b = Ir.block f bid in
       if bid <> f.Ir.entry && b.Ir.instrs = [] then
         match b.Ir.term with
-        | Ir.Jump t
-          when t <> bid
-               && not
-                    (List.exists
-                       (fun (i : Ir.instr) -> Ir.is_phi i.Ir.kind)
-                       (Ir.block f t).Ir.instrs) ->
+        | Ir.Jump t when t <> bid && not (has_phi (Ir.block f t)) ->
           List.iter
             (fun p ->
               Cfg.retarget_term (Ir.block f p) ~old_dst:bid ~new_dst:t)

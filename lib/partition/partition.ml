@@ -36,8 +36,9 @@ let h_vcs = Spt_obs.Metrics.histogram "partition.vcs_per_loop"
 
 (** [ancestors g iid] — [iid] plus all its intra-iteration dependence
     ancestors: the statements that must accompany it into the pre-fork
-    region. *)
-let ancestors (g : Depgraph.t) iid =
+    region.  [ancestors g] builds the motion-edge predecessor table
+    once; every [iid] it is applied to shares it. *)
+let ancestors (g : Depgraph.t) =
   let preds_tbl = Hashtbl.create 64 in
   List.iter
     (fun (e : Depgraph.edge) ->
@@ -45,15 +46,16 @@ let ancestors (g : Depgraph.t) iid =
         (e.Depgraph.src
         :: Option.value ~default:[] (Hashtbl.find_opt preds_tbl e.Depgraph.dst)))
     (Depgraph.motion_edges g);
-  let seen = ref Iset.empty in
-  let rec go n =
-    if not (Iset.mem n !seen) then begin
-      seen := Iset.add n !seen;
-      List.iter go (Option.value ~default:[] (Hashtbl.find_opt preds_tbl n))
-    end
-  in
-  go iid;
-  !seen
+  fun iid ->
+    let seen = ref Iset.empty in
+    let rec go n =
+      if not (Iset.mem n !seen) then begin
+        seen := Iset.add n !seen;
+        List.iter go (Option.value ~default:[] (Hashtbl.find_opt preds_tbl n))
+      end
+    in
+    go iid;
+    !seen
 
 (** Pre-fork statement set for a set of chosen violation candidates. *)
 let closure (_g : Depgraph.t) ~anc vcs =
@@ -160,11 +162,12 @@ let search ?(options = None) (cm : Cost_model.t) (g : Depgraph.t) : outcome =
   let bsize = body_size g in
   let opts = match options with Some o -> o | None -> default_options ~body_size:bsize in
   let anc_cache = Hashtbl.create 16 in
+  let ancestors = ancestors g in
   let anc iid =
     match Hashtbl.find_opt anc_cache iid with
     | Some s -> s
     | None ->
-      let s = ancestors g iid in
+      let s = ancestors iid in
       Hashtbl.replace anc_cache iid s;
       s
   in

@@ -14,7 +14,8 @@ module Iset : module type of Set.Make (Int)
 
 (** [ancestors g iid] is [iid] plus all its intra-iteration dependence
     ancestors — the statements that must accompany it into the pre-fork
-    region. *)
+    region.  Apply [ancestors g] once per graph: the partial application
+    builds the predecessor table that every later [iid] shares. *)
 val ancestors : Depgraph.t -> int -> Iset.t
 
 (** Pre-fork statement set of a chosen violation-candidate set, given a

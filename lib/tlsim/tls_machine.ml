@@ -342,9 +342,7 @@ let run_pair m (st : spt_state) (mi : ev array) (si : ev array option) =
                     if fork_v <> v then begin
                       mis := true;
                       lm.lm_reg_violations <- lm.lm_reg_violations + 1;
-                      Spt_obs.Metrics.inc m_reg_violations;
-                      if Sys.getenv_opt "SPT_TRACE_VIOL" <> None then
-                        Printf.eprintf "[viol] reg vid=%d\n%!" vid
+                      Spt_obs.Metrics.inc m_reg_violations
                     end
                   | None -> ()))
               e.uses

@@ -130,29 +130,18 @@ let factor_for (f : Ir.func) (l : Loops.loop) policy =
       grow 1
 
 (** Unroll every eligible innermost loop of [f] under [policy]; returns
-    the number of loops unrolled.  Loops are re-discovered after each
-    unrolling because block sets change. *)
+    the number of loops unrolled.  The loops are discovered once:
+    unrolling an innermost loop adds blocks to it alone, so every other
+    innermost loop keeps its blocks, header and latches, and the
+    not-yet-unrolled loops keep their relative order. *)
 let run (f : Ir.func) policy =
-  let unrolled = ref 0 in
-  let continue_ = ref true in
-  (* headers already processed (by bid) — each original loop is
-     unrolled at most once *)
-  let done_headers = Hashtbl.create 8 in
-  while !continue_ do
-    continue_ := false;
-    let loops = Loops.innermost (Loops.find f) in
-    match
-      List.find_opt
-        (fun l ->
-          (not (Hashtbl.mem done_headers l.Loops.header))
-          && factor_for f l policy > 1)
-        loops
-    with
-    | Some l ->
-      Hashtbl.replace done_headers l.Loops.header ();
-      unroll_loop f l ~factor:(factor_for f l policy);
-      incr unrolled;
-      continue_ := true
-    | None -> ()
-  done;
-  !unrolled
+  List.fold_left
+    (fun unrolled l ->
+      let factor = factor_for f l policy in
+      if factor > 1 then begin
+        unroll_loop f l ~factor;
+        unrolled + 1
+      end
+      else unrolled)
+    0
+    (Loops.innermost (Loops.find f))

@@ -13,6 +13,7 @@ let () =
       ("transform", Test_transform.suite);
       ("profile", Test_profile.suite);
       ("probes", Test_probes.suite);
+      ("passes", Test_passes.suite);
       ("tlsim", Test_tlsim.suite);
       ("driver", Test_driver.suite);
       ("pins", Test_pins.suite);
