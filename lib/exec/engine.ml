@@ -3,28 +3,57 @@
     Design: each function compiles once into a contiguous [inst array];
     blocks become index ranges, operands are pre-resolved (immediates
     boxed once, regions carrying their precomputed element base,
-    callees resolved to their function or builtin), and phis become
-    per-edge parallel-move tables.  The dispatch loop indexes the code
-    array with [Array.unsafe_get]: every [pc] it can reach is either a
-    compiled block start (jump targets come from the function's own
-    terminators, and every compiled block ends in a terminator that
-    transfers control or returns) or the successor of a non-terminator
-    instruction, so it is always in bounds — see DESIGN.md §3f for the
-    full safety argument.
+    callees resolved to their function index or builtin), and phis
+    become per-edge parallel-move tables.  The dispatch loop indexes
+    the code array with [Array.unsafe_get]: every [pc] it can reach is
+    either a compiled block start (jump targets come from the
+    function's own terminators, and every compiled block ends in a
+    terminator that transfers control or returns) or the successor of
+    a non-terminator instruction, so it is always in bounds — see
+    DESIGN.md §3f for the full safety argument.
 
     Semantics are kept bit-for-bit equal to the tree interpreter: the
-    same step/block-entry accounting (buffered in a context record and
-    flushed into the machine's own counters around handler dispatch and
-    at segment boundaries), the same budget-check placement (at block
-    terminators), the same error messages, the same marker and
-    [stop_block] protocol, and the same [memio]/[regio] backends. *)
+    same step/block-entry accounting (in the machine record), the same
+    budget-check placement (at block terminators), the same error
+    messages and the same [memio] backends. *)
 
 open Spt_ir
-module I = Spt_interp.Interp
-module Layout = Spt_interp.Layout
 module Interp = Spt_interp.Interp
+module I = Interp
+module Layout = Spt_interp.Layout
 
 type value = I.value
+
+(* ------------------------------------------------------------------ *)
+(* Frames and the segment protocol *)
+
+type frame = {
+  func : Ir.func;
+  regs : value option array;  (** indexed by vid; [None] = uninitialized *)
+  arr_args : Ir.sym array;  (** array-parameter slots resolved to regions *)
+  frio : I.regio option;
+      (** register indirection; when set, [regs] is never touched *)
+}
+
+(* Position within a frame: block, incoming edge, and the index of the
+   next instruction among the block's non-phi instructions; [cpos = 0]
+   is a fresh block entry (phis pending). *)
+type cursor = { cbid : int; cprev : int; cpos : int }
+
+type marker = [ `Fork of int | `Kill of int ]
+
+type seg_stop =
+  | Seg_marker of marker * cursor
+  | Seg_stop_block of cursor
+  | Seg_return of value option
+
+type marker_action =
+  | Proceed
+  | Jump_to of cursor
+  | Return_now of value option
+
+let mk_frame func ~arr_args ~regio =
+  { func; regs = [||]; arr_args; frio = Some regio }
 
 (* ------------------------------------------------------------------ *)
 (* Bytecode *)
@@ -36,7 +65,8 @@ type operand = O_reg of Ir.var | O_imm of value
    resolve per access against the frame (exactly like the tree). *)
 type region = R_sym of Ir.sym * int | R_param of int * string
 
-type callee = C_func of Ir.func | C_builtin of string
+(* a program callee by its function index (see {!functions}) *)
+type callee = C_func of int | C_builtin of string
 
 type inst =
   | I_move of Ir.var * operand
@@ -45,7 +75,7 @@ type inst =
   | I_load of Ir.var * region * operand
   | I_store of region * operand * operand
   | I_call of Ir.var option * callee * operand array * region array
-  | I_marker of I.marker
+  | I_marker of marker
   | T_jump of int
   | T_br of operand * int * int
   | T_ret of operand option
@@ -62,7 +92,6 @@ and probe =
   | P_store of int * region * operand * operand
   | P_call of {
       iid : int;
-      fid : int;  (** the callee's function index; -1 for builtins *)
       dst : Ir.var option;
       callee : callee;
       sargs : operand array;
@@ -96,9 +125,7 @@ type fcode = {
 }
 
 type t = {
-  t_program : Ir.program;
   t_layout : Layout.t;
-  t_funcs : (string, fcode) Hashtbl.t;
   t_code : fcode array;  (** by function index (see {!functions}) *)
 }
 
@@ -186,7 +213,9 @@ let functions (program : Ir.program) =
   |> Array.of_list
 
 let code_size t =
-  Hashtbl.fold (fun _ fc acc -> acc + Array.length fc.fc_code) t.t_funcs 0
+  Array.fold_left (fun acc fc -> acc + Array.length fc.fc_code) 0 t.t_code
+
+let layout t = t.t_layout
 
 (* ------------------------------------------------------------------ *)
 (* Compilation *)
@@ -232,7 +261,8 @@ let compile_phis (phis : Ir.instr list) : block_head =
     in
     H_phis (Array.of_list (List.map (fun p -> (p, edge p)) preds))
 
-let compile_instr layout (program : Ir.program) (k : Ir.kind) : inst =
+(* [fid_of] resolves a callee name to its function index, if any *)
+let compile_instr layout fid_of (k : Ir.kind) : inst =
   match k with
   | Ir.Move (d, o) -> I_move (d, compile_operand o)
   | Ir.Unop (d, op, o) -> I_unop (d, op, compile_operand o)
@@ -256,9 +286,7 @@ let compile_instr layout (program : Ir.program) (k : Ir.kind) : inst =
         args
     in
     let callee =
-      match List.assoc_opt name program.Ir.funcs with
-      | Some f -> C_func f
-      | None -> C_builtin name
+      match fid_of name with Some fid -> C_func fid | None -> C_builtin name
     in
     I_call (dst, callee, Array.of_list sargs, Array.of_list rargs)
   | Ir.Phi _ -> assert false (* partitioned into the block head *)
@@ -270,9 +298,9 @@ let compile_term = function
   | Ir.Br (c, t, e) -> T_br (compile_operand c, t, e)
   | Ir.Ret o -> T_ret (Option.map compile_operand o)
 
-(* A profiling run's compile context: the probes, the compiled
-   function's index, and callee names resolved to function indices. *)
-type probe_ctx = { pr : probes; fid : int; fid_of : string -> int }
+(* A profiling run's compile context: the probes and the compiled
+   function's index. *)
+type probe_ctx = { pr : probes; fid : int }
 
 let watched pc iid = pc.pr.on_value <> None && pc.pr.watch pc.fid iid
 
@@ -302,10 +330,7 @@ let probe_instr pc (i : Ir.instr) inst =
     | I_store (r, idx, src) when pc.pr.on_store <> None ->
       I_probe (P_store (iid, r, idx, src))
     | I_call (dst, callee, sargs, rargs) ->
-      let fid =
-        match callee with C_func f -> pc.fid_of f.Ir.fname | C_builtin _ -> -1
-      in
-      I_probe (P_call { iid; fid; dst; callee; sargs; rargs })
+      I_probe (P_call { iid; dst; callee; sargs; rargs })
     | inst -> inst
   in
   let value d = [ inst; I_probe (P_value (pc.fid, iid, d)) ] in
@@ -319,7 +344,7 @@ let probe_instr pc (i : Ir.instr) inst =
     value d
   | inst -> [ inst ]
 
-let compile_func ?probe layout (program : Ir.program) (f : Ir.func) : fcode =
+let compile_func ?probe layout fid_of (f : Ir.func) : fcode =
   let bids = Ir.block_ids f in
   let maxbid = List.fold_left max (-1) bids in
   let blocks = Array.make (maxbid + 1) { bc_start = -1; bc_head = H_none } in
@@ -341,7 +366,7 @@ let compile_func ?probe layout (program : Ir.program) (f : Ir.func) : fcode =
       blocks.(bid) <- { bc_start = !n; bc_head = head };
       List.iter
         (fun (i : Ir.instr) ->
-          let inst = compile_instr layout program i.Ir.kind in
+          let inst = compile_instr layout fid_of i.Ir.kind in
           match probe with
           | None -> emit inst
           | Some pc -> List.iter emit (probe_instr pc i inst))
@@ -350,86 +375,91 @@ let compile_func ?probe layout (program : Ir.program) (f : Ir.func) : fcode =
     bids;
   { fc_func = f; fc_code = Array.of_list (List.rev !rev_code); fc_blocks = blocks }
 
-let compile_code ?probes (st : I.state) : t =
-  let program = I.program_of st in
-  let layout = I.layout st in
+let compile_code ?probes (program : Ir.program) : t =
+  let layout = Layout.build program.Ir.globals in
   let fs = functions program in
   let fids = Hashtbl.create 16 in
   Array.iteri (fun fid (f : Ir.func) -> Hashtbl.add fids f.Ir.fname fid) fs;
+  let fid_of = Hashtbl.find_opt fids in
   let code =
     Array.mapi
       (fun fid f ->
-        let probe =
-          Option.map (fun pr -> { pr; fid; fid_of = Hashtbl.find fids }) probes
-        in
-        compile_func ?probe layout program f)
+        let probe = Option.map (fun pr -> { pr; fid }) probes in
+        compile_func ?probe layout fid_of f)
       fs
   in
-  let funcs = Hashtbl.create 16 in
-  Array.iter (fun fc -> Hashtbl.add funcs fc.fc_func.Ir.fname fc) code;
-  { t_program = program; t_layout = layout; t_funcs = funcs; t_code = code }
+  { t_layout = layout; t_code = code }
 
-let compile st = compile_code st
+let compile program = compile_code program
 
 (* ------------------------------------------------------------------ *)
-(* Execution *)
+(* Machines *)
 
 exception Runtime_error = I.Runtime_error
 
 let err fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 
-(* Step/entry counters are buffered here and flushed into the machine's
-   own counters around every point where foreign code can observe them
-   (marker handlers, tree delegation) and at segment boundaries, so the
-   machine's [steps]/budget semantics are indistinguishable from the
-   tree interpreter's. *)
-type ctx = {
-  st : I.state;
-  prog : t;
-  layout : Layout.t;
+(* The machine record is also the dispatch loop's context: its step and
+   block-entry counters are the ones the budget checks, [steps] reports
+   and a marker handler sees, so no segment copies them in or out. *)
+type machine = {
+  code : t;
   memio : I.memio;
   max_steps : int;
   mutable steps : int;
   mutable entries : int;
+  mutable on_marker : (frame -> marker -> cursor -> marker_action) option;
   pr : probes;  (** read only by probe code *)
 }
 
-let make_ctx ?(probes = no_probes) t st =
-  let steps, entries = I.counts st in
+let make ?(max_steps = 200_000_000) ~memio code =
   {
-    st;
-    prog = t;
-    layout = t.t_layout;
-    memio = I.memio_of st;
-    max_steps = I.max_steps_of st;
-    steps;
-    entries;
-    pr = probes;
+    code;
+    memio;
+    max_steps;
+    steps = 0;
+    entries = 0;
+    on_marker = None;
+    pr = no_probes;
   }
 
-let flush ctx = I.set_counts ctx.st ~steps:ctx.steps ~block_entries:ctx.entries
+let steps m = m.steps
+let set_marker_handler m h = m.on_marker <- h
 
-let reload ctx =
-  let s, e = I.counts ctx.st in
-  ctx.steps <- s;
-  ctx.entries <- e
+(* the index of a compiled function: only first bindings compile *)
+let fid_of_func t (f : Ir.func) =
+  let n = Array.length t.t_code in
+  let rec find i =
+    if i = n then
+      invalid_arg
+        (Printf.sprintf
+           "Engine: function %s was not compiled (a shadowed binding or \
+            another program's)"
+           f.Ir.fname)
+    else if t.t_code.(i).fc_func == f then i
+    else find (i + 1)
+  in
+  find 0
+
+(* ------------------------------------------------------------------ *)
+(* Execution *)
 
 let uninit frame (v : Ir.var) =
   err "read of uninitialized register %s.%d in %s" v.Ir.vname v.Ir.vid
-    frame.I.func.Ir.fname
+    frame.func.Ir.fname
 
 let read_reg frame (v : Ir.var) =
-  match frame.I.frio with
+  match frame.frio with
   | None -> (
-    match frame.I.regs.(v.Ir.vid) with
+    match frame.regs.(v.Ir.vid) with
     | Some x -> x
     | None -> uninit frame v)
   | Some r -> (
     match r.I.rio_get v with Some x -> x | None -> uninit frame v)
 
 let write_reg frame (v : Ir.var) x =
-  match frame.I.frio with
-  | None -> frame.I.regs.(v.Ir.vid) <- Some x
+  match frame.frio with
+  | None -> frame.regs.(v.Ir.vid) <- Some x
   | Some r -> r.I.rio_set v x
 
 let read_operand frame = function
@@ -441,10 +471,10 @@ let as_int = function
   | Eval.Vf _ -> err "expected integer value"
 
 let resolve_param frame slot name =
-  if slot < Array.length frame.I.arr_args then frame.I.arr_args.(slot)
+  if slot < Array.length frame.arr_args then frame.arr_args.(slot)
   else err "unbound array parameter %s" name
 
-let load_addr ctx frame r idx =
+let load_addr m frame r idx =
   match r with
   | R_sym (s, base) ->
     if idx < 0 || idx >= s.Ir.ssize then
@@ -454,9 +484,9 @@ let load_addr ctx frame r idx =
     let s = resolve_param frame slot name in
     if idx < 0 || idx >= s.Ir.ssize then
       err "out-of-bounds read %s[%d] (size %d)" s.Ir.sname idx s.Ir.ssize;
-    Layout.element_address ctx.layout s idx
+    Layout.element_address m.code.t_layout s idx
 
-let store_addr ctx frame r idx =
+let store_addr m frame r idx =
   match r with
   | R_sym (s, base) ->
     if idx < 0 || idx >= s.Ir.ssize then
@@ -466,19 +496,17 @@ let store_addr ctx frame r idx =
     let s = resolve_param frame slot name in
     if idx < 0 || idx >= s.Ir.ssize then
       err "out-of-bounds write %s[%d] (size %d)" s.Ir.sname idx s.Ir.ssize;
-    Layout.element_address ctx.layout s idx
+    Layout.element_address m.code.t_layout s idx
 
-let resolve_rarg ctx frame = function
-  | R_sym (s, _) ->
-    ignore ctx;
-    s
+let resolve_rarg frame = function
+  | R_sym (s, _) -> s
   | R_param (slot, name) -> resolve_param frame slot name
 
-let check_budget ctx =
-  if ctx.steps + ctx.entries > ctx.max_steps then
-    err "step limit exceeded (%d)" ctx.max_steps
+let check_budget m =
+  if m.steps + m.entries > m.max_steps then
+    err "step limit exceeded (%d)" m.max_steps
 
-let run_phis ctx frame bid prev edges =
+let run_phis m frame bid prev edges =
   let n = Array.length edges in
   let rec find i =
     if i = n then
@@ -501,17 +529,17 @@ let run_phis ctx frame bid prev edges =
     for i = 0 to k - 1 do
       write_reg frame (fst moves.(i)) vals.(i)
     done;
-    ctx.steps <- ctx.steps + k
+    m.steps <- m.steps + k
 
-let run_head ctx frame bid prev = function
+let run_head m frame bid prev = function
   | H_none -> ()
-  | H_phis edges -> run_phis ctx frame bid prev edges
+  | H_phis edges -> run_phis m frame bid prev edges
   | H_probe (fid, head, values) -> (
-    (match ctx.pr.on_block with Some h -> h fid bid prev | None -> ());
+    (match m.pr.on_block with Some h -> h fid bid prev | None -> ());
     (match head with
-    | H_phis edges -> run_phis ctx frame bid prev edges
+    | H_phis edges -> run_phis m frame bid prev edges
     | H_none | H_probe _ -> ());
-    match ctx.pr.on_value with
+    match m.pr.on_value with
     | Some h -> Array.iter (fun (iid, d) -> h fid iid (read_reg frame d)) values
     | None -> ())
 
@@ -523,20 +551,20 @@ let eval_scalars frame sargs =
   done;
   scalars
 
-let resolve_rargs ctx frame rargs =
+let resolve_rargs frame rargs =
   let na = Array.length rargs in
   if na = 0 then [||]
   else begin
-    let a0 = resolve_rarg ctx frame rargs.(0) in
+    let a0 = resolve_rarg frame rargs.(0) in
     let arr = Array.make na a0 in
     for i = 1 to na - 1 do
-      arr.(i) <- resolve_rarg ctx frame rargs.(i)
+      arr.(i) <- resolve_rarg frame rargs.(i)
     done;
     arr
   end
 
-let call_builtin ctx frame dst name scalars =
-  let ret = I.exec_builtin ctx.st name (Array.to_list scalars) in
+let call_builtin m frame dst name scalars =
+  let ret = I.exec_builtin m.memio name (Array.to_list scalars) in
   match (dst, ret) with
   | Some d, Some v -> write_reg frame d v
   | Some _, None -> err "builtin %s returned no value" name
@@ -550,7 +578,7 @@ let set_result frame dst (f : Ir.func) ret =
 
 let new_frame (f : Ir.func) arrays =
   {
-    I.func = f;
+    func = f;
     regs = Array.make (Spt_util.Idgen.peek f.Ir.var_gen) None;
     arr_args = arrays;
     frio = None;
@@ -579,28 +607,34 @@ let block_of fc bid =
     let bc = Array.unsafe_get fc.fc_blocks bid in
     if bc.bc_start < 0 then bad () else bc
 
-(* The dispatch loop.  [seg_exec] is the engine's [exec_segment];
-   [call_fn] its [exec_call]; [drive] its [run_frame]. *)
-let rec seg_exec ctx frame fc (stop_block : int option) watch
-    (cur : I.cursor) : I.seg_stop =
+(* The dispatch loop: run [frame] from [cur] until a marker executes
+   (when [watch]), control is about to enter [stop_block], or the frame
+   returns. *)
+let rec seg_exec m frame fc (stop_block : int option) watch (cur : cursor) :
+    seg_stop =
   let code = fc.fc_code in
-  let bc0 = block_of fc cur.I.cbid in
-  if cur.I.cpos = 0 then begin
-    ctx.entries <- ctx.entries + 1;
-    run_head ctx frame cur.I.cbid cur.I.cprev bc0.bc_head
-  end;
-  let rec loop bid prev start pc : I.seg_stop =
+  let bc0 = block_of fc cur.cbid in
+  if cur.cpos = 0 then begin
+    m.entries <- m.entries + 1;
+    run_head m frame cur.cbid cur.cprev bc0.bc_head
+  end
+  else if cur.cpos < 0 || bc0.bc_start + cur.cpos >= Array.length code then
+    (* a resumed cursor comes from a caller: keep the fetch in bounds *)
+    invalid_arg
+      (Printf.sprintf "Engine: cursor bb%d+%d is outside %s" cur.cbid cur.cpos
+         frame.func.Ir.fname);
+  let rec loop bid prev start pc : seg_stop =
     match Array.unsafe_get code pc with
     | I_move (d, o) ->
-      ctx.steps <- ctx.steps + 1;
+      m.steps <- m.steps + 1;
       write_reg frame d (read_operand frame o);
       loop bid prev start (pc + 1)
     | I_unop (d, op, o) ->
-      ctx.steps <- ctx.steps + 1;
+      m.steps <- m.steps + 1;
       write_reg frame d (Eval.eval_unop op (read_operand frame o));
       loop bid prev start (pc + 1)
     | I_binop (d, op, oa, ob) ->
-      ctx.steps <- ctx.steps + 1;
+      m.steps <- m.steps + 1;
       let a = read_operand frame oa in
       let b = read_operand frame ob in
       let v =
@@ -610,207 +644,167 @@ let rec seg_exec ctx frame fc (stop_block : int option) watch
       write_reg frame d v;
       loop bid prev start (pc + 1)
     | I_load (d, r, idx_op) ->
-      ctx.steps <- ctx.steps + 1;
+      m.steps <- m.steps + 1;
       let idx = as_int (read_operand frame idx_op) in
-      let addr = load_addr ctx frame r idx in
-      write_reg frame d (ctx.memio.I.mio_load addr);
+      let addr = load_addr m frame r idx in
+      write_reg frame d (m.memio.I.mio_load addr);
       loop bid prev start (pc + 1)
     | I_store (r, idx_op, src) ->
-      ctx.steps <- ctx.steps + 1;
+      m.steps <- m.steps + 1;
       let idx = as_int (read_operand frame idx_op) in
       let v = read_operand frame src in
-      let addr = store_addr ctx frame r idx in
-      ctx.memio.I.mio_store addr v;
+      let addr = store_addr m frame r idx in
+      m.memio.I.mio_store addr v;
       loop bid prev start (pc + 1)
     | I_call (dst, callee, sargs, rargs) ->
-      ctx.steps <- ctx.steps + 1;
+      m.steps <- m.steps + 1;
       let scalars = eval_scalars frame sargs in
-      let arrays = resolve_rargs ctx frame rargs in
+      let arrays = resolve_rargs frame rargs in
       (match callee with
-      | C_builtin name -> call_builtin ctx frame dst name scalars
-      | C_func f -> set_result frame dst f (call_fn ctx f scalars arrays));
+      | C_builtin name -> call_builtin m frame dst name scalars
+      | C_func fid ->
+        set_result frame dst m.code.t_code.(fid).fc_func
+          (call_fn m fid scalars arrays));
       loop bid prev start (pc + 1)
-    | I_marker m ->
-      ctx.steps <- ctx.steps + 1;
+    | I_marker mk ->
+      m.steps <- m.steps + 1;
       if watch then
-        I.Seg_marker (m, { I.cbid = bid; cprev = prev; cpos = pc + 1 - start })
+        Seg_marker (mk, { cbid = bid; cprev = prev; cpos = pc + 1 - start })
       else loop bid prev start (pc + 1)
     | T_jump next ->
-      check_budget ctx;
+      check_budget m;
       continue bid next
     | T_br (c, bt, be) ->
-      check_budget ctx;
+      check_budget m;
       continue bid (if Eval.is_truthy (read_operand frame c) then bt else be)
     | T_ret o ->
-      check_budget ctx;
-      I.Seg_return
+      check_budget m;
+      Seg_return
         (match o with None -> None | Some o -> Some (read_operand frame o))
     | I_probe probe ->
-      probe_step ctx frame probe;
+      probe_step m frame probe;
       loop bid prev start (pc + 1)
   and continue bid next =
     match stop_block with
     | Some sb when next = sb ->
-      I.Seg_stop_block { I.cbid = next; cprev = bid; cpos = 0 }
+      Seg_stop_block { cbid = next; cprev = bid; cpos = 0 }
     | _ ->
       let bc = block_of fc next in
-      ctx.entries <- ctx.entries + 1;
-      run_head ctx frame next bid bc.bc_head;
+      m.entries <- m.entries + 1;
+      run_head m frame next bid bc.bc_head;
       loop next bid bc.bc_start bc.bc_start
   in
-  loop cur.I.cbid cur.I.cprev bc0.bc_start (bc0.bc_start + cur.I.cpos)
+  loop cur.cbid cur.cprev bc0.bc_start (bc0.bc_start + cur.cpos)
 
-and call_fn ctx (f : Ir.func) (scalars : value array) (arrays : Ir.sym array) :
+(* A program call, entered by function index; a profiling run fires the
+   callee's entry and exit around it. *)
+and call_fn m fid (scalars : value array) (arrays : Ir.sym array) :
     value option =
-  match Hashtbl.find_opt ctx.prog.t_funcs f.Ir.fname with
-  | Some fc when fc.fc_func == f ->
-    let frame = new_frame f arrays in
-    bind_params frame f scalars;
-    drive ctx frame fc f.Ir.entry
-  | _ ->
-    (* shadowed or foreign function: delegate the whole call tree *)
-    flush ctx;
-    Fun.protect
-      ~finally:(fun () -> reload ctx)
-      (fun () -> I.call ctx.st f (Array.to_list scalars) (Array.to_list arrays))
+  let fc = m.code.t_code.(fid) in
+  let f = fc.fc_func in
+  let frame = new_frame f arrays in
+  bind_params frame f scalars;
+  (match m.pr.on_enter with Some h -> h fid | None -> ());
+  let ret = drive m frame fc f.Ir.entry in
+  (match m.pr.on_exit with Some h -> h fid | None -> ());
+  ret
 
 (* The probe opcodes of a profiling run, apart from the dispatch loop so
    that the loop unprofiled runs execute is the one without them. *)
-and probe_step ctx frame = function
+and probe_step m frame = function
   | P_load (iid, d, r, idx_op) ->
-    ctx.steps <- ctx.steps + 1;
+    m.steps <- m.steps + 1;
     let idx = as_int (read_operand frame idx_op) in
-    let addr = load_addr ctx frame r idx in
-    write_reg frame d (ctx.memio.I.mio_load addr);
-    (match ctx.pr.on_load with Some h -> h iid addr | None -> ())
+    let addr = load_addr m frame r idx in
+    write_reg frame d (m.memio.I.mio_load addr);
+    (match m.pr.on_load with Some h -> h iid addr | None -> ())
   | P_store (iid, r, idx_op, src) ->
-    ctx.steps <- ctx.steps + 1;
+    m.steps <- m.steps + 1;
     let idx = as_int (read_operand frame idx_op) in
     let v = read_operand frame src in
-    let addr = store_addr ctx frame r idx in
-    ctx.memio.I.mio_store addr v;
-    (match ctx.pr.on_store with Some h -> h iid addr | None -> ())
-  | P_call { iid; fid; dst; callee; sargs; rargs } ->
-    ctx.steps <- ctx.steps + 1;
+    let addr = store_addr m frame r idx in
+    m.memio.I.mio_store addr v;
+    (match m.pr.on_store with Some h -> h iid addr | None -> ())
+  | P_call { iid; dst; callee; sargs; rargs } ->
+    m.steps <- m.steps + 1;
     let scalars = eval_scalars frame sargs in
-    let arrays = resolve_rargs ctx frame rargs in
-    let site () = match ctx.pr.on_call with Some h -> h iid | None -> () in
+    let arrays = resolve_rargs frame rargs in
+    let site () = match m.pr.on_call with Some h -> h iid | None -> () in
     (* the tree's order: a program call's site precedes its callee's
        entry; a builtin's follows the builtin *)
     (match callee with
     | C_builtin name ->
-      call_builtin ctx frame dst name scalars;
+      call_builtin m frame dst name scalars;
       site ()
-    | C_func f ->
+    | C_func fid ->
       site ();
-      set_result frame dst f (call_probed ctx fid scalars arrays))
+      set_result frame dst m.code.t_code.(fid).fc_func
+        (call_fn m fid scalars arrays))
   | P_value (fid, iid, d) ->
-    (match ctx.pr.on_value with
+    (match m.pr.on_value with
     | Some h -> h fid iid (read_reg frame d)
     | None -> ())
 
-(* A profiling run's call: the callee is entered by index, so no call
-   is ever handed to the tree interpreter (which fires no probes). *)
-and call_probed ctx fid scalars arrays =
-  let fc = ctx.prog.t_code.(fid) in
-  let f = fc.fc_func in
-  let frame = new_frame f arrays in
-  bind_params frame f scalars;
-  (match ctx.pr.on_enter with Some h -> h fid | None -> ());
-  let ret = drive ctx frame fc f.Ir.entry in
-  (match ctx.pr.on_exit with Some h -> h fid | None -> ());
-  ret
-
-and drive ctx frame fc entry : value option =
-  let watch = I.marker_handler_of ctx.st <> None in
+(* Run a frame from [entry] to its return, dispatching SPT markers to
+   the machine's handler (markers are no-ops when there is none). *)
+and drive m frame fc entry : value option =
   let rec go cur =
-    match seg_exec ctx frame fc None watch cur with
-    | I.Seg_return v -> v
-    | I.Seg_stop_block _ -> assert false (* no stop_block was given *)
-    | I.Seg_marker (m, after) -> (
-      match I.marker_handler_of ctx.st with
+    match seg_exec m frame fc None (m.on_marker <> None) cur with
+    | Seg_return v -> v
+    | Seg_stop_block _ -> assert false (* no stop_block was given *)
+    | Seg_marker (mk, after) -> (
+      match m.on_marker with
       | None -> go after
       | Some handler -> (
-        flush ctx;
-        let act = handler ctx.st frame m after in
-        reload ctx;
-        match act with
-        | I.Proceed -> go after
-        | I.Jump_to c -> go c
-        | I.Return_now v -> v))
+        match handler frame mk after with
+        | Proceed -> go after
+        | Jump_to c -> go c
+        | Return_now v -> v))
   in
-  go { I.cbid = entry; cprev = -1; cpos = 0 }
+  go { cbid = entry; cprev = -1; cpos = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points *)
 
-let fcode_for t (f : Ir.func) =
-  match Hashtbl.find_opt t.t_funcs f.Ir.fname with
-  | Some fc when fc.fc_func == f -> Some fc
-  | _ -> None
+let exec_segment m frame ?stop_block ~watch_markers cur =
+  let fc = m.code.t_code.(fid_of_func m.code frame.func) in
+  seg_exec m frame fc stop_block watch_markers cur
 
-let exec_segment t st frame ?stop_block ~watch_markers cur =
-  if (not (I.hooks_are_null st)) || I.program_of st != t.t_program then
-    I.exec_segment st frame ?stop_block ~watch_markers cur
-  else
-    match fcode_for t frame.I.func with
-    | None -> I.exec_segment st frame ?stop_block ~watch_markers cur
-    | Some fc ->
-      let ctx = make_ctx t st in
-      Fun.protect
-        ~finally:(fun () -> flush ctx)
-        (fun () -> seg_exec ctx frame fc stop_block watch_markers cur)
-
-let call t st (f : Ir.func) (scalars : value list) (arrays : Ir.sym list) =
-  if (not (I.hooks_are_null st)) || I.program_of st != t.t_program then
-    I.call st f scalars arrays
-  else
-    match fcode_for t f with
-    | None -> I.call st f scalars arrays
-    | Some _ ->
-      let ctx = make_ctx t st in
-      Fun.protect
-        ~finally:(fun () -> flush ctx)
-        (fun () ->
-          call_fn ctx f (Array.of_list scalars) (Array.of_list arrays))
+let call m (f : Ir.func) (scalars : value list) (arrays : Ir.sym list) =
+  call_fn m (fid_of_func m.code f) (Array.of_list scalars)
+    (Array.of_list arrays)
 
 let m_runs = Spt_obs.Metrics.counter "exec.runs"
 let m_steps = Spt_obs.Metrics.counter "exec.steps"
 
-let run ?(max_steps = 200_000_000) (program : Ir.program) : I.result =
-  let layout = Layout.build program.Ir.globals in
-  let store = I.new_store layout program in
-  let st = I.make ~max_steps ~memio:(I.store_memio store) program in
-  let t = compile st in
-  let mainf = Ir.func_of_program program "main" in
-  let return_value = call t st mainf [] [] in
+let run ?max_steps (program : Ir.program) : I.result =
+  let code = compile program in
+  let store = I.new_store code.t_layout program in
+  let m = make ?max_steps ~memio:(I.store_memio store) code in
+  let return_value = call m (Ir.func_of_program program "main") [] [] in
   Spt_obs.Metrics.inc m_runs;
-  Spt_obs.Metrics.add m_steps (I.steps st);
+  Spt_obs.Metrics.add m_steps m.steps;
   {
     I.return_value;
     output = Buffer.contents store.I.sout;
-    dynamic_instrs = I.steps st;
+    dynamic_instrs = m.steps;
   }
 
-let profile ?(max_steps = 200_000_000) probes (program : Ir.program) :
-    I.result =
+let profile ?max_steps probes (program : Ir.program) : I.result =
   Fun.protect
     ~finally:(fun () -> Option.iter (fun h -> h ()) probes.on_finish)
     (fun () ->
-      let layout = Layout.build program.Ir.globals in
-      let store = I.new_store layout program in
-      let st = I.make ~max_steps ~memio:(I.store_memio store) program in
-      let t = compile_code ~probes st in
-      let mainf = Ir.func_of_program program "main" in
-      let rec index i =
-        if t.t_code.(i).fc_func == mainf then i else index (i + 1)
+      let code = compile_code ~probes program in
+      let store = I.new_store code.t_layout program in
+      let m =
+        { (make ?max_steps ~memio:(I.store_memio store) code) with pr = probes }
       in
-      let ctx = make_ctx ~probes t st in
-      let return_value = call_probed ctx (index 0) [||] [||] in
+      let main = fid_of_func code (Ir.func_of_program program "main") in
+      let return_value = call_fn m main [||] [||] in
       Spt_obs.Metrics.inc m_runs;
-      Spt_obs.Metrics.add m_steps ctx.steps;
+      Spt_obs.Metrics.add m_steps m.steps;
       {
         I.return_value;
         output = Buffer.contents store.I.sout;
-        dynamic_instrs = ctx.steps;
+        dynamic_instrs = m.steps;
       })

@@ -102,15 +102,11 @@ let render_ret = function
    the speculative runtime digests its own *)
 let reference ~max_steps src =
   let prog = Pipeline.front_end src in
-  let layout = Layout.build prog.Ir.globals in
-  let store = Interp.new_store layout prog in
-  let m =
-    Interp.make ~max_steps ~memio:(Interp.store_memio store) prog
-  in
-  let ret = Interp.call m (Ir.func_of_program prog "main") [] [] in
+  let store = Interp.new_store (Layout.build prog.Ir.globals) prog in
+  let r = Interp.run ~max_steps ~store prog in
   {
-    oc_output = Buffer.contents store.Interp.sout;
-    oc_return = render_ret ret;
+    oc_output = r.Interp.output;
+    oc_return = render_ret r.Interp.return_value;
     oc_digest = Runtime.heap_digest store;
     oc_error = None;
   }
@@ -241,14 +237,16 @@ let runtime_point ?depth ~max_steps ~reference:ref_oc ~spt ~jobs point =
    instruction-for-instruction on real (fuzzed) code *)
 let engine_seq_outcome ~max_steps kind (spt : Pipeline.spt_compilation) =
   let prog = spt.Pipeline.program in
-  let layout = Layout.build prog.Ir.globals in
-  let store = Interp.new_store layout prog in
-  let m = Interp.make ~max_steps ~memio:(Interp.store_memio store) prog in
-  let main = Ir.func_of_program prog "main" in
-  let ret =
+  let store, ret =
     match kind with
-    | `Tree -> Interp.call m main [] []
-    | `Bytecode -> Engine.call (Engine.compile m) m main [] []
+    | `Tree ->
+      let store = Interp.new_store (Layout.build prog.Ir.globals) prog in
+      (store, (Interp.run ~max_steps ~store prog).Interp.return_value)
+    | `Bytecode ->
+      let eng = Engine.compile prog in
+      let store = Interp.new_store (Engine.layout eng) prog in
+      let m = Engine.make ~max_steps ~memio:(Interp.store_memio store) eng in
+      (store, Engine.call m (Ir.func_of_program prog "main") [] [])
   in
   {
     oc_output = Buffer.contents store.Interp.sout;

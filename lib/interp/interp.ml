@@ -7,17 +7,12 @@
 
     The hooks expose the full dynamic event stream — executed
     instructions with their register/memory effects, block entries and
-    taken control-flow edges — on which all three profilers (§4.1,
-    §7.2, §7.3) and the trace-driven TLS timing simulator are built.
+    taken control-flow edges — on which the trace-driven TLS timing
+    simulator and the profilers' reference model are built.
 
-    Beyond the classic [run] entry point, the interpreter exposes a
-    *machine* API used by {!Spt_runtime}: explicit machines ([make]),
-    pluggable memory/RNG/output backends ([memio]), per-frame register
-    indirection ([regio]), and instruction-granular segment execution
-    with resumable cursors ([exec_segment]).  That is what lets the
-    speculative runtime execute pre-fork and post-fork slices of a loop
-    iteration on different domains against versioned state while
-    reusing this interpreter's semantics verbatim. *)
+    The state backends ([memio], [regio], [store]) and the builtins are
+    shared with the bytecode engine ({!Spt_exec}), which runs the
+    speculative runtime's segments against versioned state. *)
 
 open Spt_ir
 
@@ -128,54 +123,51 @@ let store_memio st =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Builtins *)
+
+let lcg_next memio =
+  (* Numerical Recipes LCG; deterministic across runs *)
+  let r =
+    Int64.add
+      (Int64.mul (memio.mio_rng ()) 6364136223846793005L)
+      1442695040888963407L
+  in
+  memio.mio_set_rng r;
+  Int64.shift_right_logical r 33
+
+let exec_builtin memio name (args : value list) : value option =
+  match (name, args) with
+  | "abs", [ Eval.Vi a ] -> Some (Eval.Vi (Int64.abs a))
+  | "min", [ Eval.Vi a; Eval.Vi b ] -> Some (Eval.Vi (min a b))
+  | "max", [ Eval.Vi a; Eval.Vi b ] -> Some (Eval.Vi (max a b))
+  | "fmin", [ Eval.Vf a; Eval.Vf b ] -> Some (Eval.Vf (Float.min a b))
+  | "fmax", [ Eval.Vf a; Eval.Vf b ] -> Some (Eval.Vf (Float.max a b))
+  | "rand", [] -> Some (Eval.Vi (lcg_next memio))
+  | "srand", [ Eval.Vi seed ] ->
+    memio.mio_set_rng seed;
+    None
+  | "print_int", [ Eval.Vi n ] ->
+    memio.mio_print (Int64.to_string n ^ "\n");
+    None
+  | "print_float", [ Eval.Vf f ] ->
+    memio.mio_print (Printf.sprintf "%.6g\n" f);
+    None
+  | _ -> error "bad builtin call %s/%d" name (List.length args)
+
+(* ------------------------------------------------------------------ *)
 (* Machine state *)
 
 type frame = {
   func : Ir.func;
   regs : value option array;  (** indexed by vid; [None] = uninitialized *)
   arr_args : Ir.sym array;  (** array-parameter slots resolved to regions *)
-  frio : regio option;
-      (** register indirection; when set, [regs] is never touched *)
-}
-
-(** Position within a frame: block, incoming edge, and the index of the
-    next instruction to execute among the block's *non-phi*
-    instructions.  [cpos = 0] means a fresh block entry (phis pending);
-    any [cpos > 0] resumes after the phis. *)
-type cursor = { cbid : int; cprev : int; cpos : int }
-
-type marker = [ `Fork of int | `Kill of int ]
-
-type seg_stop =
-  | Seg_marker of marker * cursor
-      (** an SPT marker executed in the segment's own frame; the cursor
-          points just past it *)
-  | Seg_stop_block of cursor
-      (** control is about to enter [stop_block]; the cursor points at
-          its start (phis not yet evaluated) *)
-  | Seg_return of value option
-
-(** What a marker handler tells the executing frame to do next. *)
-type marker_action =
-  | Proceed  (** markers are sequential no-ops: continue in place *)
-  | Jump_to of cursor  (** resume this frame at the given cursor *)
-  | Return_now of value option  (** unwind the frame with this value *)
-
-(* Dispatch-time sampling: every [s_mask + 1] block entries the machine
-   reads the clock and books the ns-per-instruction of the window into
-   the "interp.dispatch_ns_per_instr" histogram.  Off ([None]) the cost
-   is one load and one branch per block entry. *)
-type sampler = {
-  s_mask : int;
-  mutable s_last_t : float;
-  mutable s_last_steps : int;
 }
 
 (* Per-machine caches of what the tree re-derives on every block entry
-   and call: a block's phis and its other instructions as an array (so
-   a cursor indexes it), per function, filled as blocks are entered;
-   and each callee name's function.  Both assume the program does not
-   change under a running machine. *)
+   and call: a block's phis and its other instructions as an array, per
+   function, filled as blocks are entered; and each callee name's
+   function.  Both assume the program does not change under a running
+   machine. *)
 type block_cache = {
   bk_block : Ir.block;
   bk_phis : Ir.instr list;
@@ -193,9 +185,6 @@ type state = {
   max_steps : int;
   hooks : hooks;
   hooked : bool;  (** [hooks] is not [null_hooks]: fire them, with effects *)
-  mutable on_marker :
-    (state -> frame -> marker -> cursor -> marker_action) option;
-  mutable sampler : sampler option;
   mutable func_caches : func_cache list;
   mutable callees : (string, Ir.func) Hashtbl.t option;
       (** the first binding of each name; built on the first call *)
@@ -206,27 +195,6 @@ type result = {
   output : string;
   dynamic_instrs : int;
 }
-
-let make_with ~layout ~hooks ~max_steps ~memio program =
-  {
-    program;
-    layout;
-    memio;
-    steps = 0;
-    block_entries = 0;
-    max_steps;
-    hooks;
-    hooked = hooks != null_hooks;
-    on_marker = None;
-    sampler = None;
-    func_caches = [];
-    callees = None;
-  }
-
-let make ?(hooks = null_hooks) ?(max_steps = 200_000_000) ~memio
-    (program : Ir.program) =
-  make_with ~layout:(Layout.build program.Ir.globals) ~hooks ~max_steps ~memio
-    program
 
 let func_cache st (f : Ir.func) =
   let rec find = function
@@ -275,26 +243,6 @@ let callee st name =
   in
   Hashtbl.find_opt tbl name
 
-let h_dispatch = Spt_obs.Metrics.histogram "interp.dispatch_ns_per_instr"
-
-let set_sampler ?(mask = 1023) st =
-  st.sampler <-
-    Some { s_mask = mask; s_last_t = Unix.gettimeofday (); s_last_steps = st.steps }
-
-let layout st = st.layout
-let steps st = st.steps
-let set_marker_handler st h = st.on_marker <- h
-
-let lcg_next st =
-  (* Numerical Recipes LCG; deterministic across runs *)
-  let r =
-    Int64.add
-      (Int64.mul (st.memio.mio_rng ()) 6364136223846793005L)
-      1442695040888963407L
-  in
-  st.memio.mio_set_rng r;
-  Int64.shift_right_logical r 33
-
 (* resolve a region to the concrete global it denotes in this frame *)
 let resolve_region frame = function
   | Ir.Rsym s -> s
@@ -303,24 +251,13 @@ let resolve_region frame = function
     else error "unbound array parameter %s" name
 
 let read_reg frame v =
-  let stored =
-    match frame.frio with
-    | Some r -> r.rio_get v
-    | None -> frame.regs.(v.Ir.vid)
-  in
-  match stored with
+  match frame.regs.(v.Ir.vid) with
   | Some x -> x
   | None ->
     error "read of uninitialized register %s.%d in %s" v.Ir.vname v.Ir.vid
       frame.func.Ir.fname
 
-let write_reg frame v x =
-  match frame.frio with
-  | Some r -> r.rio_set v x
-  | None -> frame.regs.(v.Ir.vid) <- Some x
-
-let mk_frame func ~arr_args ~regio =
-  { func; regs = [||]; arr_args; frio = Some regio }
+let write_reg frame v x = frame.regs.(v.Ir.vid) <- Some x
 
 let read_operand frame = function
   | Ir.Reg v -> read_reg frame v
@@ -347,28 +284,6 @@ let as_int = function
   | Eval.Vf _ -> error "expected integer value"
 
 (* ------------------------------------------------------------------ *)
-(* Builtins *)
-
-let exec_builtin st name (args : value list) : value option =
-  match (name, args) with
-  | "abs", [ Eval.Vi a ] -> Some (Eval.Vi (Int64.abs a))
-  | "min", [ Eval.Vi a; Eval.Vi b ] -> Some (Eval.Vi (min a b))
-  | "max", [ Eval.Vi a; Eval.Vi b ] -> Some (Eval.Vi (max a b))
-  | "fmin", [ Eval.Vf a; Eval.Vf b ] -> Some (Eval.Vf (Float.min a b))
-  | "fmax", [ Eval.Vf a; Eval.Vf b ] -> Some (Eval.Vf (Float.max a b))
-  | "rand", [] -> Some (Eval.Vi (lcg_next st))
-  | "srand", [ Eval.Vi seed ] ->
-    st.memio.mio_set_rng seed;
-    None
-  | "print_int", [ Eval.Vi n ] ->
-    st.memio.mio_print (Int64.to_string n ^ "\n");
-    None
-  | "print_float", [ Eval.Vf f ] ->
-    st.memio.mio_print (Printf.sprintf "%.6g\n" f);
-    None
-  | _ -> error "bad builtin call %s/%d" name (List.length args)
-
-(* ------------------------------------------------------------------ *)
 (* Execution *)
 
 let rec exec_call st (callee : Ir.func) (scalar_args : value list)
@@ -378,7 +293,6 @@ let rec exec_call st (callee : Ir.func) (scalar_args : value list)
       func = callee;
       regs = Array.make (Spt_util.Idgen.peek callee.Ir.var_gen) None;
       arr_args = Array.of_list array_args;
-      frio = None;
     }
   in
   (* bind scalar parameters *)
@@ -393,131 +307,63 @@ let rec exec_call st (callee : Ir.func) (scalar_args : value list)
   in
   bind callee.Ir.fparams scalar_args;
   if st.hooked then st.hooks.on_enter callee;
-  let ret = run_frame st frame ~entry:callee.Ir.entry in
+  let ret = exec_block st frame (func_cache st callee) callee.Ir.entry (-1) in
   if st.hooked then st.hooks.on_exit callee;
   ret
 
-(** Drive a frame from [entry] to its return, dispatching SPT markers
-    to the machine's handler (markers are no-ops when there is none). *)
-and run_frame st frame ~entry : value option =
-  let watch = st.on_marker <> None in
-  let rec go cur =
-    match exec_segment st frame ?stop_block:None ~watch_markers:watch cur with
-    | Seg_return v -> v
-    | Seg_stop_block _ -> assert false (* no stop_block was given *)
-    | Seg_marker (m, after) -> (
-      match st.on_marker with
-      | None -> go after
-      | Some handler -> (
-        match handler st frame m after with
-        | Proceed -> go after
-        | Jump_to c -> go c
-        | Return_now v -> v))
-  in
-  go { cbid = entry; cprev = -1; cpos = 0 }
-
-(** Execute the frame from [cur] until a marker fires in this frame
-    (if [watch_markers]), control is about to enter [stop_block], or
-    the frame returns.  Calls recurse and run to completion inside the
-    segment; markers inside callees do not stop it. *)
-and exec_segment st frame ?stop_block ~watch_markers (cur : cursor) : seg_stop
-    =
-  segment st frame (func_cache st frame.func) stop_block watch_markers cur
-
-and segment st frame fk stop_block watch_markers (cur : cursor) : seg_stop =
-  let bid = cur.cbid and prev = cur.cprev in
+(** Enter block [bid] from [prev] ([-1] at function entry) and run the
+    frame from there to its return.  Calls run to completion inside
+    the instruction that makes them. *)
+and exec_block st frame fk bid prev : value option =
   let b = block_cache fk bid in
-  (* phis evaluate in parallel against the incoming edge, on fresh
-     block entry only; a resumed cursor indexes past them *)
-  if cur.cpos = 0 then begin
-    st.block_entries <- st.block_entries + 1;
-    (match st.sampler with
-    | Some s when st.block_entries land s.s_mask = 0 ->
-      let t = Unix.gettimeofday () in
-      let ds = st.steps - s.s_last_steps in
-      if ds > 0 then
-        Spt_obs.Metrics.observe h_dispatch
-          ((t -. s.s_last_t) /. float_of_int ds *. 1e9);
-      s.s_last_t <- t;
-      s.s_last_steps <- st.steps
-    | _ -> ());
-    if st.hooked then begin
-      st.hooks.on_block frame.func bid;
-      if prev >= 0 then st.hooks.on_edge frame.func ~src:prev ~dst:bid
-    end;
-    match b.bk_phis with
-    | [] -> ()
-    | phis ->
-      let phi_values =
-        List.map
-          (fun (i : Ir.instr) ->
-            match i.Ir.kind with
-            | Ir.Phi (d, ins) -> (
-              match List.assoc_opt prev ins with
-              | Some o -> (i, d, o, read_operand frame o)
-              | None ->
-                error "phi in bb%d has no operand for predecessor bb%d" bid
-                  prev)
-            | _ -> assert false)
-          phis
-      in
-      List.iter
-        (fun ((i : Ir.instr), d, o, v) ->
-          write_reg frame d v;
-          st.steps <- st.steps + 1;
-          if st.hooked then
-            st.hooks.on_instr frame.func bid i
-              {
-                no_effects with
-                defs = [ (d, v) ];
-                uses = (match o with Ir.Reg u -> [ (u, v) ] | _ -> []);
-              })
-        phi_values
+  st.block_entries <- st.block_entries + 1;
+  if st.hooked then begin
+    st.hooks.on_block frame.func bid;
+    if prev >= 0 then st.hooks.on_edge frame.func ~src:prev ~dst:bid
   end;
-  let rest = b.bk_rest in
-  let n = Array.length rest in
-  let rec exec_rest pos =
-    if pos >= n then None
-    else
-      let i = Array.unsafe_get rest pos in
-      match i.Ir.kind with
-      | Ir.Spt_fork id | Ir.Spt_kill id ->
-        st.steps <- st.steps + 1;
-        if st.hooked then st.hooks.on_instr frame.func bid i no_effects;
-        let m =
+  (* phis evaluate in parallel against the incoming edge *)
+  (match b.bk_phis with
+  | [] -> ()
+  | phis ->
+    let phi_values =
+      List.map
+        (fun (i : Ir.instr) ->
           match i.Ir.kind with
-          | Ir.Spt_fork _ -> `Fork id
-          | _ -> `Kill id
-        in
-        if watch_markers then
-          Some (Seg_marker (m, { cbid = bid; cprev = prev; cpos = pos + 1 }))
-        else exec_rest (pos + 1)
-      | _ ->
-        exec_instr st frame bid i;
-        exec_rest (pos + 1)
-  in
-  match exec_rest cur.cpos with
-  | Some stop -> stop
-  | None -> (
-    if st.steps + st.block_entries > st.max_steps then
-      error "step limit exceeded (%d)" st.max_steps;
-    let continue next =
-      match stop_block with
-      | Some sb when next = sb ->
-        Seg_stop_block { cbid = next; cprev = bid; cpos = 0 }
-      | _ ->
-        segment st frame fk stop_block watch_markers
-          { cbid = next; cprev = bid; cpos = 0 }
+          | Ir.Phi (d, ins) -> (
+            match List.assoc_opt prev ins with
+            | Some o -> (i, d, o, read_operand frame o)
+            | None ->
+              error "phi in bb%d has no operand for predecessor bb%d" bid prev)
+          | _ -> assert false)
+        phis
     in
-    match b.bk_block.Ir.term with
-    | Ir.Jump next -> continue next
-    | Ir.Br (c, t, e) ->
-      let cv = read_operand frame c in
-      let taken = Eval.is_truthy cv in
-      if st.hooked then st.hooks.on_branch frame.func bid ~taken;
-      continue (if taken then t else e)
-    | Ir.Ret None -> Seg_return None
-    | Ir.Ret (Some o) -> Seg_return (Some (read_operand frame o)))
+    List.iter
+      (fun ((i : Ir.instr), d, o, v) ->
+        write_reg frame d v;
+        st.steps <- st.steps + 1;
+        if st.hooked then
+          st.hooks.on_instr frame.func bid i
+            {
+              no_effects with
+              defs = [ (d, v) ];
+              uses = (match o with Ir.Reg u -> [ (u, v) ] | _ -> []);
+            })
+      phi_values);
+  let rest = b.bk_rest in
+  for k = 0 to Array.length rest - 1 do
+    exec_instr st frame bid (Array.unsafe_get rest k)
+  done;
+  if st.steps + st.block_entries > st.max_steps then
+    error "step limit exceeded (%d)" st.max_steps;
+  match b.bk_block.Ir.term with
+  | Ir.Jump next -> exec_block st frame fk next bid
+  | Ir.Br (c, t, e) ->
+    let cv = read_operand frame c in
+    let taken = Eval.is_truthy cv in
+    if st.hooked then st.hooks.on_branch frame.func bid ~taken;
+    exec_block st frame fk (if taken then t else e) bid
+  | Ir.Ret None -> None
+  | Ir.Ret (Some o) -> Some (read_operand frame o)
 
 (* Unhooked machines build no effects: every [fire] below sits behind
    [st.hooked]. *)
@@ -606,7 +452,7 @@ and exec_instr st frame bid (i : Ir.instr) =
       | Some _, None -> error "call to %s returned no value" name
       | None, _ -> ())
     | None -> (
-      let ret = exec_builtin st name scalar_args in
+      let ret = exec_builtin st.memio name scalar_args in
       match (dst, ret) with
       | Some d, Some v ->
         write_reg frame d v;
@@ -614,25 +460,8 @@ and exec_instr st frame bid (i : Ir.instr) =
       | Some _, None -> error "builtin %s returned no value" name
       | None, _ -> if st.hooked then fire { no_effects with uses }))
   | Ir.Phi _ -> error "phi outside block head"
+  (* SPT markers are sequential no-ops *)
   | Ir.Spt_fork _ | Ir.Spt_kill _ -> if st.hooked then fire no_effects
-
-let call = exec_call
-
-(* ------------------------------------------------------------------ *)
-(* Engine support — accessors used by the bytecode engine ({!Spt_exec})
-   so it can drive a [state] through the same backends, budgets and
-   marker handlers without this module exposing its representation *)
-
-let memio_of st = st.memio
-let program_of st = st.program
-let max_steps_of st = st.max_steps
-let marker_handler_of st = st.on_marker
-let hooks_are_null st = not st.hooked
-let counts st = (st.steps, st.block_entries)
-
-let set_counts st ~steps ~block_entries =
-  st.steps <- steps;
-  st.block_entries <- block_entries
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
@@ -642,13 +471,26 @@ let set_counts st ~steps ~block_entries =
 let m_runs = Spt_obs.Metrics.counter "interp.runs"
 let m_steps = Spt_obs.Metrics.counter "interp.steps"
 
-let run ?(hooks = null_hooks) ?(max_steps = 200_000_000) (program : Ir.program) =
+let run ?(hooks = null_hooks) ?(max_steps = 200_000_000) ?store
+    (program : Ir.program) =
   let layout = Layout.build program.Ir.globals in
-  let store = new_store layout program in
-  let st =
-    make_with ~layout ~hooks ~max_steps ~memio:(store_memio store) program
+  let store =
+    match store with Some s -> s | None -> new_store layout program
   in
-  if Spt_obs.Metrics.enabled () then set_sampler st;
+  let st =
+    {
+      program;
+      layout;
+      memio = store_memio store;
+      steps = 0;
+      block_entries = 0;
+      max_steps;
+      hooks;
+      hooked = hooks != null_hooks;
+      func_caches = [];
+      callees = None;
+    }
+  in
   let mainf = Ir.func_of_program program "main" in
   let return_value = exec_call st mainf [] [] in
   Spt_obs.Metrics.inc m_runs;

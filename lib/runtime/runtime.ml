@@ -135,8 +135,8 @@ let tl_rec tl kind ~lid t0 =
 
 (* where execution of a chunk (or its serial replay) sequentially ends *)
 type stop =
-  | Forked of Interp.cursor  (** past this loop's Nth SPT_FORK *)
-  | Exited of Interp.cursor  (** past this loop's SPT_KILL *)
+  | Forked of Engine.cursor  (** past this loop's Nth SPT_FORK *)
+  | Exited of Engine.cursor  (** past this loop's SPT_KILL *)
   | Returned of Interp.value option
 
 type outcome =
@@ -150,7 +150,7 @@ type task = {
   tbv : Specmem.view;
       (** the backbone (predictor) view this chunk reads through;
           sealed once the chunk resolves *)
-  tstart : Interp.cursor;
+  tstart : Engine.cursor;
   tpreds : (int * Interp.value) list;
       (** value predictions injected into [tbv] for this chunk:
           (vid, predicted value); scored at the chunk's resolution *)
@@ -173,14 +173,13 @@ type loop_costs = {
 let ewma old x = if old <= 0.0 then x else old +. (0.25 *. (x -. old))
 
 type rt = {
-  program : Ir.program;
   cfg : config;
   eng : Engine.t;  (** the program compiled once, shared by every domain *)
   mutable pool : Pool.t option;
       (** started by the first worker chunk, shut down when [run] returns *)
   workers : int;  (** the pool's size *)
   store : Interp.store;
-  master : Interp.state;
+  master : Engine.machine;
   mu : Mutex.t;
   cond : Condition.t;
   specs : (int, loop_spec) Hashtbl.t;
@@ -274,27 +273,27 @@ let record_stale rt (st : loop_stats) (stale : Specmem.stale) =
    no-ops.  All exceptions — out-of-bounds reads through stale
    speculative state, uninitialized registers, the fuel limit — surface
    as [Fault] and cost only a serial replay. *)
-let run_chunk rt ~(frame : Interp.frame) ~lid ~n ~fuel view start : outcome =
+let run_chunk rt ~(frame : Engine.frame) ~lid ~n ~fuel view start : outcome =
   try
-    let tm = Interp.make ~max_steps:fuel ~memio:(Specmem.memio view) rt.program in
+    let tm = Engine.make ~max_steps:fuel ~memio:(Specmem.memio view) rt.eng in
     let tframe =
-      Interp.mk_frame frame.Interp.func ~arr_args:frame.Interp.arr_args
+      Engine.mk_frame frame.Engine.func ~arr_args:frame.Engine.arr_args
         ~regio:(Specmem.regio view)
     in
     let rec go forks cur =
-      match Engine.exec_segment rt.eng tm tframe ~watch_markers:true cur with
-      | Interp.Seg_return v ->
-        Stopped (Returned v, Interp.steps tm, forks + 1)
-      | Interp.Seg_stop_block _ -> assert false (* no stop_block given *)
-      | Interp.Seg_marker (`Fork id, after) when id = lid ->
-        if forks + 1 >= n then Stopped (Forked after, Interp.steps tm, n)
+      match Engine.exec_segment tm tframe ~watch_markers:true cur with
+      | Engine.Seg_return v ->
+        Stopped (Returned v, Engine.steps tm, forks + 1)
+      | Engine.Seg_stop_block _ -> assert false (* no stop_block given *)
+      | Engine.Seg_marker (`Fork id, after) when id = lid ->
+        if forks + 1 >= n then Stopped (Forked after, Engine.steps tm, n)
         else if Specmem.is_rolled_back view then
           (* killed: nobody waits for the rest *)
           Fault "rolled back"
         else go (forks + 1) after
-      | Interp.Seg_marker (`Kill id, after) when id = lid ->
-        Stopped (Exited after, Interp.steps tm, forks + 1)
-      | Interp.Seg_marker (_, after) -> go forks after
+      | Engine.Seg_marker (`Kill id, after) when id = lid ->
+        Stopped (Exited after, Engine.steps tm, forks + 1)
+      | Engine.Seg_marker (_, after) -> go forks after
     in
     go 0 start
   with e -> Fault (Printexc.to_string e)
@@ -313,32 +312,32 @@ let run_chunk rt ~(frame : Interp.frame) ~lid ~n ~fuel view start : outcome =
    when all [n] slices forked, [`Exits] when prediction says the loop
    exits (or returns) within them, and [`Lost] when it faults or
    re-reaches the header without a fork. *)
-let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view =
+let run_backbone rt ~(frame : Engine.frame) ~header ~lid ~n ~fuel view =
   try
-    let tm = Interp.make ~max_steps:fuel ~memio:(Specmem.memio view) rt.program in
+    let tm = Engine.make ~max_steps:fuel ~memio:(Specmem.memio view) rt.eng in
     let tframe =
-      Interp.mk_frame frame.Interp.func ~arr_args:frame.Interp.arr_args
+      Engine.mk_frame frame.Engine.func ~arr_args:frame.Engine.arr_args
         ~regio:(Specmem.regio view)
     in
-    let start = { Interp.cbid = header; cprev = -1; cpos = 0 } in
+    let start = { Engine.cbid = header; cprev = -1; cpos = 0 } in
     let rec round k cur =
       if k = n then `Full
       else
         match
-          Engine.exec_segment rt.eng tm tframe ~stop_block:header
-            ~watch_markers:true cur
+          Engine.exec_segment tm tframe ~stop_block:header ~watch_markers:true
+            cur
         with
-        | Interp.Seg_marker (`Fork id, _) when id = lid -> round (k + 1) start
-        | Interp.Seg_marker (`Kill id, _) when id = lid ->
+        | Engine.Seg_marker (`Fork id, _) when id = lid -> round (k + 1) start
+        | Engine.Seg_marker (`Kill id, _) when id = lid ->
           Obs.Log.debug "[runtime] loop %d: backbone predicts exit at round %d/%d"
             lid k n;
           `Exits
-        | Interp.Seg_marker (_, after) -> round k after
-        | Interp.Seg_stop_block _ ->
+        | Engine.Seg_marker (_, after) -> round k after
+        | Engine.Seg_stop_block _ ->
           Obs.Log.debug
             "[runtime] loop %d: backbone re-reached header without a fork" lid;
           `Lost
-        | Interp.Seg_return _ ->
+        | Engine.Seg_return _ ->
           Obs.Log.debug "[runtime] loop %d: backbone predicts a return" lid;
           `Exits
     in
@@ -354,16 +353,16 @@ let run_backbone rt ~(frame : Interp.frame) ~header ~lid ~n ~fuel view =
    the recovery of a chunk that misspeculated.  Returns where the run
    stopped and how many iterations it retired.  Genuine program errors
    propagate from here exactly as a sequential run would. *)
-let run_serial rt ~(frame : Interp.frame) ~lid ~n start : stop * int =
+let run_serial rt ~(frame : Engine.frame) ~lid ~n start : stop * int =
   let rec go forks cur =
-    match Engine.exec_segment rt.eng rt.master frame ~watch_markers:true cur with
-    | Interp.Seg_return v -> (Returned v, forks + 1)
-    | Interp.Seg_stop_block _ -> assert false
-    | Interp.Seg_marker (`Fork id, after) when id = lid ->
+    match Engine.exec_segment rt.master frame ~watch_markers:true cur with
+    | Engine.Seg_return v -> (Returned v, forks + 1)
+    | Engine.Seg_stop_block _ -> assert false
+    | Engine.Seg_marker (`Fork id, after) when id = lid ->
       if forks + 1 >= n then (Forked after, n) else go (forks + 1) after
-    | Interp.Seg_marker (`Kill id, after) when id = lid ->
+    | Engine.Seg_marker (`Kill id, after) when id = lid ->
       (Exited after, forks + 1)
-    | Interp.Seg_marker (_, after) -> go forks after
+    | Engine.Seg_marker (_, after) -> go forks after
   in
   go 0 start
 
@@ -460,8 +459,8 @@ type epoch =
    backbone views chain B_k -> B_{k-1} -> ... and are sealed — not
    merged — once their reader chunk resolves, since master then
    already holds every value they predicted. *)
-let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
-    (after0 : Interp.cursor) : Interp.marker_action =
+let run_spt_loop rt (frame : Engine.frame) (spec : loop_spec)
+    (after0 : Engine.cursor) : Engine.marker_action =
   let t0 = Unix.gettimeofday () in
   let lid = spec.ls_id in
   let header = spec.ls_header in
@@ -477,7 +476,7 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
   let master =
     {
       Specmem.m_mem = rt.store.Interp.smem;
-      m_regs = frame.Interp.regs;
+      m_regs = frame.Engine.regs;
       m_rng_get = (fun () -> rt.store.Interp.srng);
       m_rng_set = (fun r -> rt.store.Interp.srng <- r);
       m_out = rt.store.Interp.sout;
@@ -538,8 +537,8 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
         end
         else begin
           let cur =
-            if vid < Array.length frame.Interp.regs then
-              frame.Interp.regs.(vid)
+            if vid < Array.length frame.Engine.regs then
+              frame.Engine.regs.(vid)
             else None
           in
           (match (p.sp_last, cur) with
@@ -722,8 +721,8 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
     match stop with
     | Forked after
       when clean
-           || after.Interp.cbid = after0.Interp.cbid
-              && after.Interp.cpos = after0.Interp.cpos ->
+           || after.Engine.cbid = after0.Engine.cbid
+              && after.Engine.cpos = after0.Engine.cpos ->
       last_pos := after;
       (* a misspeculated head poisons every in-flight successor — they
          chained through its backbone's now-refuted state — so the
@@ -743,8 +742,8 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
       finish :=
         Some
           (match stop with
-          | Returned v -> Interp.Return_now v
-          | Exited c | Forked c -> Interp.Jump_to c)
+          | Returned v -> Engine.Return_now v
+          | Exited c | Forked c -> Engine.Jump_to c)
   in
   let run_inline () =
     let ti0 = Unix.gettimeofday () in
@@ -800,7 +799,7 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
            transformed program that loops forever commits forever (the
            master only steps between SPT regions and never hits its own
            limit) *)
-        if Interp.steps rt.master + rt.committed_steps > rt.cfg.max_steps then
+        if Engine.steps rt.master + rt.committed_steps > rt.cfg.max_steps then
           raise
             (Interp.Runtime_error
                (Printf.sprintf "step limit exceeded (%d)" rt.cfg.max_steps));
@@ -870,7 +869,7 @@ let run_spt_loop rt (frame : Interp.frame) (spec : loop_spec)
        is just past the fork, the master executes sequentially to the
        next SPT_FORK, whose handler proceeds (despeculated) or starts a
        new entry *)
-    Interp.Jump_to !last_pos
+    Engine.Jump_to !last_pos
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program execution *)
@@ -1004,13 +1003,12 @@ let stats_json (r : result) =
              r.stats) );
     ]
 
-let sequential_reference eng cfg layout program =
-  let store = Interp.new_store layout program in
+let sequential_reference eng cfg program =
+  let store = Interp.new_store (Engine.layout eng) program in
   let m =
-    Interp.make ~max_steps:cfg.max_steps ~memio:(Interp.store_memio store)
-      program
+    Engine.make ~max_steps:cfg.max_steps ~memio:(Interp.store_memio store) eng
   in
-  let ret = Engine.call eng m (Ir.func_of_program program "main") [] [] in
+  let ret = Engine.call m (Ir.func_of_program program "main") [] [] in
   (ret, Buffer.contents store.Interp.sout, heap_digest store)
 
 let run ?config ?(loops = []) (program : Ir.program) : result =
@@ -1026,24 +1024,22 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
           ls.ls_id ls.ls_fname
       | None -> ())
     loops;
-  let layout = Layout.build program.Ir.globals in
+  let tc0 = tl_now cfg.timeline in
+  let eng = Engine.compile program in
+  tl_rec cfg.timeline Obs.Timeline.Compile ~lid:(-1) tc0;
+  let layout = Engine.layout eng in
   let store = Interp.new_store layout program in
   let master =
-    Interp.make ~max_steps:cfg.max_steps ~memio:(Interp.store_memio store)
-      program
+    Engine.make ~max_steps:cfg.max_steps ~memio:(Interp.store_memio store) eng
   in
   let region_of a =
     Option.map
       (fun (s : Ir.sym) -> s.Ir.sid)
       (Layout.owner_of_element layout program.Ir.globals a)
   in
-  let tc0 = tl_now cfg.timeline in
-  let eng = Engine.compile master in
-  tl_rec cfg.timeline Obs.Timeline.Compile ~lid:(-1) tc0;
   let workers = workers_for cfg.jobs in
   let rt =
     {
-      program;
       cfg;
       eng;
       pool = None;
@@ -1063,24 +1059,24 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
   (* with no loop to speculate the markers stay sequential no-ops, which
      the engine runs without calling out *)
   if Hashtbl.length specs > 0 then
-    Interp.set_marker_handler master
+    Engine.set_marker_handler master
       (Some
-         (fun _st frame marker after ->
+         (fun frame marker after ->
            match marker with
-           | `Kill _ -> Interp.Proceed
+           | `Kill _ -> Engine.Proceed
            | `Fork id -> (
              match Hashtbl.find_opt rt.specs id with
              | Some spec
                when (not (Hashtbl.mem rt.despec id))
-                    && String.equal frame.Interp.func.Ir.fname spec.ls_fname ->
+                    && String.equal frame.Engine.func.Ir.fname spec.ls_fname ->
                run_spt_loop rt frame spec after
-             | _ -> Interp.Proceed)));
+             | _ -> Engine.Proceed)));
   let t0 = Unix.gettimeofday () in
   let return_value =
     Fun.protect
       ~finally:(fun () -> Option.iter Pool.shutdown rt.pool)
       (fun () ->
-        Engine.call eng master (Ir.func_of_program program "main") [] [])
+        Engine.call master (Ir.func_of_program program "main") [] [])
   in
   let wall_time = Unix.gettimeofday () -. t0 in
   let output = Buffer.contents store.Interp.sout in
@@ -1089,7 +1085,7 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
   let oracle =
     if not cfg.oracle then `Skipped
     else begin
-      let sret, sout, sdigest = sequential_reference eng cfg layout program in
+      let sret, sout, sdigest = sequential_reference eng cfg program in
       if not (String.equal sout output) then
         `Mismatch
           (Printf.sprintf "output differs (%d bytes vs %d sequential)"
@@ -1105,7 +1101,7 @@ let run ?config ?(loops = []) (program : Ir.program) : result =
     output;
     return_value;
     heap_digest = digest;
-    dynamic_instrs = Interp.steps master + rt.committed_steps;
+    dynamic_instrs = Engine.steps master + rt.committed_steps;
     wall_time;
     workers = (if Option.is_some rt.pool then workers else 0);
     stats =

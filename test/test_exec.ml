@@ -1,19 +1,18 @@
 (** Bytecode engine parity tests: the flat-bytecode engine must agree
     with the tree-walking interpreter observable-for-observable —
     output, return value, dynamic instruction count, and the exact
-    error message on every runtime failure. *)
+    error message on every runtime failure — also when a marker handler
+    drives the SPT loops through the segment protocol. *)
 
 open Spt_interp
+module Ir = Spt_ir.Ir
 module Engine = Spt_exec.Engine
 module Pipeline = Spt_driver.Pipeline
-
-let both ?max_steps src =
-  let prog = Pipeline.front_end src in
-  (Interp.run ?max_steps prog, Engine.run ?max_steps prog)
+module Config = Spt_driver.Config
+module Runtime = Spt_runtime.Runtime
 
 (* value options compare structurally: ints and floats are immediate *)
-let parity name ?max_steps src =
-  let tree, bc = both ?max_steps src in
+let check_same name (tree : Interp.result) (bc : Interp.result) =
   Alcotest.(check string) (name ^ ": output") tree.Interp.output
     bc.Interp.output;
   Alcotest.(check bool)
@@ -22,6 +21,10 @@ let parity name ?max_steps src =
   Alcotest.(check int)
     (name ^ ": dynamic instrs") tree.Interp.dynamic_instrs
     bc.Interp.dynamic_instrs
+
+let parity name ?max_steps src =
+  let prog = Pipeline.front_end src in
+  check_same name (Interp.run ?max_steps prog) (Engine.run ?max_steps prog)
 
 let error_of ?max_steps run prog =
   match run ?max_steps prog with
@@ -216,11 +219,260 @@ int f(int x) { return x * x; }
 void main() { print_int(f(9)); }
 |}
   in
-  let layout = Layout.build prog.Spt_ir.Ir.globals in
-  let store = Interp.new_store layout prog in
-  let m = Interp.make ~memio:(Interp.store_memio store) prog in
-  let eng = Engine.compile m in
+  let eng = Engine.compile prog in
   Alcotest.(check bool) "code compiled" true (Engine.code_size eng > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The segment protocol *)
+
+(* cwd is _build/default/test under [dune runtest], the workspace root
+   under [dune exec test/test_main.exe] *)
+let sources () =
+  let dir candidates =
+    match List.find_opt Sys.file_exists candidates with
+    | Some d -> d
+    | None -> List.hd candidates
+  in
+  List.concat_map
+    (fun d ->
+      Sys.readdir d |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".c")
+      |> List.sort compare
+      |> List.map (fun f ->
+             let path = Filename.concat d f in
+             (path, In_channel.with_open_bin path In_channel.input_all)))
+    [
+      dir [ "../examples/src"; "examples/src" ];
+      dir [ "corpus"; "test/corpus" ];
+    ]
+
+(* the SPT program and the loops the runtime registers for it *)
+let spt_compile src =
+  let spt = Pipeline.compile_spt Config.best src in
+  (spt.Pipeline.program, Pipeline.loop_specs spt)
+
+(* the registered loop a marker engages in [frame], as the runtime's
+   handler finds it *)
+let engaged loops (frame : Engine.frame) = function
+  | `Fork id ->
+    List.find_opt
+      (fun (ls : Runtime.loop_spec) ->
+        ls.ls_id = id && String.equal ls.ls_fname frame.func.Ir.fname)
+      loops
+  | `Kill _ -> None
+
+(* run [main] on an engine machine with [handler m] installed, on
+   [store] or a fresh one *)
+let run_machine ?max_steps ?store prog handler =
+  let eng = Engine.compile prog in
+  let store =
+    match store with
+    | Some s -> s
+    | None -> Interp.new_store (Engine.layout eng) prog
+  in
+  let m = Engine.make ?max_steps ~memio:(Interp.store_memio store) eng in
+  Engine.set_marker_handler m (Some (handler m));
+  let ret = Engine.call m (Ir.func_of_program prog "main") [] [] in
+  {
+    Interp.return_value = ret;
+    output = Buffer.contents store.Interp.sout;
+    dynamic_instrs = Engine.steps m;
+  }
+
+let proceed _m _frame _marker _after = Engine.Proceed
+
+type drive_log = {
+  mutable driven : int;  (** loop entries the handler drove *)
+  mutable inside : bool;  (** a driven segment is executing *)
+  mutable first : (int * int) option;
+      (** steps at the start and the end of the first driven entry *)
+}
+
+(* Drive each registered loop from its fork through a frame whose
+   registers are the engaged frame's, behind a [regio]: resume from
+   every cursor a segment stops at, and leave past the loop's kill or
+   with the frame's return. *)
+let drive loops log m (frame : Engine.frame) marker after =
+  match engaged loops frame marker with
+  | None -> Engine.Proceed
+  | Some ls ->
+    let regio =
+      {
+        Interp.rio_get = (fun v -> frame.regs.(v.Ir.vid));
+        rio_set = (fun v x -> frame.regs.(v.Ir.vid) <- Some x);
+      }
+    in
+    let view = Engine.mk_frame frame.func ~arr_args:frame.arr_args ~regio in
+    let start = Engine.steps m in
+    log.driven <- log.driven + 1;
+    log.inside <- true;
+    let rec go cur =
+      match Engine.exec_segment m view ~watch_markers:true cur with
+      | Engine.Seg_marker (`Kill id, after) when id = ls.ls_id ->
+        Engine.Jump_to after
+      | Engine.Seg_marker (_, after) -> go after
+      | Engine.Seg_return v -> Engine.Return_now v
+      | Engine.Seg_stop_block _ -> assert false (* no stop_block given *)
+    in
+    let action = go after in
+    log.inside <- false;
+    if log.first = None then log.first <- Some (start, Engine.steps m);
+    action
+
+(* Stop once at the header of the first registered loop entered, in the
+   engaged frame itself, and resume from the cursor the stop returns. *)
+let stop_once loops stopped m frame marker after =
+  match engaged loops frame marker with
+  | Some ls when not !stopped -> (
+    match
+      Engine.exec_segment m frame ~stop_block:ls.ls_header
+        ~watch_markers:false after
+    with
+    | Engine.Seg_stop_block c ->
+      stopped := true;
+      Engine.Jump_to c
+    | Engine.Seg_return v -> Engine.Return_now v
+    | Engine.Seg_marker _ -> assert false (* markers not watched *))
+  | _ -> Engine.Proceed
+
+let test_segment_protocol () =
+  List.iter
+    (fun (name, src) ->
+      let prog, loops = spt_compile src in
+      Alcotest.(check bool) (name ^ ": has an SPT loop") true (loops <> []);
+      let tree = Interp.run prog in
+      check_same (name ^ " proceed") tree (run_machine prog proceed);
+      let log = { driven = 0; inside = false; first = None } in
+      check_same (name ^ " driven") tree (run_machine prog (drive loops log));
+      Alcotest.(check bool)
+        (name ^ ": a loop was driven")
+        true (log.driven > 0);
+      let stopped = ref false in
+      check_same (name ^ " stop_block") tree
+        (run_machine prog (stop_once loops stopped));
+      Alcotest.(check bool) (name ^ ": stopped at a header") true !stopped)
+    (sources ())
+
+(* the steps and block entries the tree has counted when the first
+   registered fork executes *)
+let first_fork prog loops =
+  let steps = ref 0 and entries = ref 0 and at = ref None in
+  let hooks =
+    {
+      Interp.null_hooks with
+      on_block = (fun _ _ -> incr entries);
+      on_instr =
+        (fun f _ i _ ->
+          incr steps;
+          match i.Ir.kind with
+          | Ir.Spt_fork id
+            when !at = None
+                 && List.exists
+                      (fun (ls : Runtime.loop_spec) ->
+                        ls.ls_id = id && String.equal ls.ls_fname f.Ir.fname)
+                      loops ->
+            at := Some (!steps, !entries)
+          | _ -> ());
+    }
+  in
+  ignore (Interp.run ~hooks prog);
+  Option.get !at
+
+(* A budget that trips halfway through the first driven loop entry (the
+   budget counts steps plus block entries) raises the tree's error from
+   inside the driven segment, with the tree's memory, RNG state and
+   output at that point. *)
+let test_budget_in_driven_segment () =
+  List.iter
+    (fun (name, src) ->
+      let prog, loops = spt_compile src in
+      let log = { driven = 0; inside = false; first = None } in
+      ignore (run_machine prog (drive loops log));
+      let start, stop = Option.get log.first in
+      let fork_steps, fork_entries = first_fork prog loops in
+      Alcotest.(check int) (name ^ ": steps at the fork") fork_steps start;
+      let max_steps = fork_steps + fork_entries + ((stop - start) / 2) in
+      let error_of run =
+        match run () with
+        | (_ : Interp.result) -> None
+        | exception Interp.Runtime_error m -> Some m
+      in
+      let fresh () = Interp.new_store (Layout.build prog.Ir.globals) prog in
+      let tree_store = fresh () and bc_store = fresh () in
+      let tree =
+        error_of (fun () -> Interp.run ~max_steps ~store:tree_store prog)
+      in
+      let log = { driven = 0; inside = false; first = None } in
+      let bc =
+        error_of (fun () ->
+            run_machine ~max_steps ~store:bc_store prog (drive loops log))
+      in
+      Alcotest.(check bool) (name ^ ": tree raises") true (tree <> None);
+      Alcotest.(check (option string)) (name ^ ": same message") tree bc;
+      Alcotest.(check bool)
+        (name ^ ": inside a driven segment")
+        true log.inside;
+      let image (st : Interp.store) =
+        (st.smem, st.srng, Buffer.contents st.sout)
+      in
+      Alcotest.(check bool)
+        (name ^ ": same state at the trip")
+        true
+        (compare (image tree_store) (image bc_store) = 0))
+    (sources ())
+
+(* Only the first binding of a name is compiled: a shadowed second one
+   is refused by name, not run some other way.  A cursor past the code
+   is refused too. *)
+let test_uncompiled_function () =
+  let prog =
+    Pipeline.front_end {|
+int g() { return 7; }
+void main() { print_int(g()); }
+|}
+  in
+  let shadow = Ir.create_func ~name:"g" ~params:[] ~ret:None in
+  let b = Ir.add_block shadow in
+  b.Ir.term <- Ir.Ret None;
+  shadow.Ir.entry <- b.Ir.bid;
+  let prog = { prog with Ir.funcs = prog.Ir.funcs @ [ ("g", shadow) ] } in
+  check_same "shadowed g" (Interp.run prog) (Engine.run prog);
+  let eng = Engine.compile prog in
+  let store = Interp.new_store (Engine.layout eng) prog in
+  let m = Engine.make ~memio:(Interp.store_memio store) eng in
+  let g = Ir.func_of_program prog "g" in
+  Alcotest.(check bool)
+    "first binding runs" true
+    (Engine.call m g [] [] = Some (Spt_ir.Eval.Vi 7L));
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: shadowed g ran" what
+    | exception Invalid_argument msg ->
+      let needle = "function g " in
+      let n = String.length needle in
+      let rec at i =
+        i + n <= String.length msg
+        && (String.sub msg i n = needle || at (i + 1))
+      in
+      if not (at 0) then
+        Alcotest.failf "%s: message %S does not name g" what msg
+  in
+  refused "call" (fun () -> ignore (Engine.call m shadow [] []));
+  let regio = { Interp.rio_get = (fun _ -> None); rio_set = (fun _ _ -> ()) } in
+  refused "exec_segment" (fun () ->
+      ignore
+        (Engine.exec_segment m
+           (Engine.mk_frame shadow ~arr_args:[||] ~regio)
+           ~watch_markers:true
+           { Engine.cbid = shadow.Ir.entry; cprev = -1; cpos = 0 }));
+  match
+    Engine.exec_segment m
+      { Engine.func = g; regs = [||]; arr_args = [||]; frio = None }
+      ~watch_markers:true
+      { Engine.cbid = g.Ir.entry; cprev = -1; cpos = 1_000_000 }
+  with
+  | _ -> Alcotest.fail "a cursor past the code ran"
+  | exception Invalid_argument _ -> ()
 
 let suite =
   [
@@ -238,4 +490,10 @@ let suite =
       test_err_division_by_zero;
     Alcotest.test_case "error: step limit" `Quick test_err_step_limit;
     Alcotest.test_case "compile + code size" `Quick test_compile_code_size;
+    Alcotest.test_case "segments: proceed, driven, stop_block" `Quick
+      test_segment_protocol;
+    Alcotest.test_case "segments: budget inside a driven loop" `Quick
+      test_budget_in_driven_segment;
+    Alcotest.test_case "refused: uncompiled function, bad cursor" `Quick
+      test_uncompiled_function;
   ]
