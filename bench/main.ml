@@ -93,6 +93,17 @@ let parallel_jobs =
   | Some s -> (try max 1 (int_of_string s) with _ -> 2)
   | None -> 2
 
+(* every bench run's runtime: [parallel_jobs] workers and no oracle —
+   the oracle re-runs the program sequentially, and each section checks
+   outputs its own way (evaluate_all already compared them) *)
+let runtime_config ?depth ?timeline () =
+  {
+    (Spt_runtime.Runtime.default_config ~jobs:parallel_jobs ()) with
+    oracle = false;
+    depth;
+    timeline;
+  }
+
 let measure_parallel best =
   section
     (Printf.sprintf
@@ -116,14 +127,10 @@ let measure_parallel best =
           | Some e -> e.Pipeline.speedup
           | None -> 1.0
         in
-        (* the oracle re-runs the program sequentially; evaluate_all has
-           already checked output equality, so skip it here for speed *)
-        let runtime_config =
-          { (Spt_runtime.Runtime.default_config ()) with oracle = false }
-        in
         let timeline = Spt_obs.Timeline.create () in
         let pr =
-          Pipeline.run_parallel ~jobs:parallel_jobs ~runtime_config ~timeline
+          Pipeline.run_parallel
+            ~runtime_config:(runtime_config ~timeline ())
             w.Spt_workloads.Suite.source
         in
         let measured = pr.Pipeline.pr_measured_speedup in
@@ -167,7 +174,7 @@ let measure_parallel best =
    recompile (telemetry fed back through the persistent store's
    save/load round-trip) predicts instead *)
 
-module Store = Spt_feedback.Profile_store
+module Store = Spt_profile.Profile_store
 module Telemetry = Spt_feedback.Telemetry
 
 let read_file path =
@@ -207,10 +214,9 @@ let feedback_comparison () =
   let rows =
     List.concat_map
       (fun (name, src) ->
-        let runtime_config =
-          { (Spt_runtime.Runtime.default_config ()) with oracle = false }
+        let pr =
+          Pipeline.run_parallel ~runtime_config:(runtime_config ()) src
         in
-        let pr = Pipeline.run_parallel ~jobs:parallel_jobs ~runtime_config src in
         let store = Store.empty () in
         let ep, dp, vp = Pipeline.profile_source src in
         Store.absorb_profiles store ep dp vp;
@@ -220,10 +226,7 @@ let feedback_comparison () =
         Store.save store tmp;
         let store = Store.load tmp in
         Sys.remove tmp;
-        let guided =
-          Pipeline.evaluate ~profile_seed:(Store.seed store)
-            ~observations:(Telemetry.observations store) src
-        in
+        let guided = Pipeline.evaluate ~profile:store src in
         List.filter_map
           (fun (lr : Pipeline.loop_record) ->
             match (lr.Pipeline.lr_decision, lr.Pipeline.lr_cost) with
@@ -334,9 +337,7 @@ let profdb_generations () =
       ~dir:(Spt_profdb.Profdb.subdir dir) ()
   in
   let fingerprint = Spt_service.Fingerprint.program (Pipeline.front_end src) in
-  let runtime_config =
-    { (Spt_runtime.Runtime.default_config ()) with oracle = false }
-  in
+  let runtime_config = runtime_config () in
   let t =
     Spt_util.Table.create
       ~aligns:
@@ -349,16 +350,9 @@ let profdb_generations () =
   let rows = ref [] in
   let gens = 3 in
   for gen = 1 to gens do
-    let profile_seed, observations, guided =
-      match Spt_profdb.Profdb.lookup db ~fingerprint with
-      | Some (store, _) when not (Store.is_empty store) ->
-        (Some (Store.seed store), Some (Telemetry.observations store), true)
-      | Some _ | None -> (None, None, false)
-    in
-    let pr =
-      Pipeline.run_parallel ~jobs:parallel_jobs ~runtime_config ?profile_seed
-        ?observations src
-    in
+    let profile, gen_in = Spt_profdb.Profdb.guide db ~fingerprint None in
+    let guided = gen_in <> None in
+    let pr = Pipeline.run_parallel ~runtime_config ?profile src in
     let fresh = Store.empty () in
     Telemetry.record fresh pr.Pipeline.pr_spt pr.Pipeline.pr_runtime;
     ignore (Spt_profdb.Profdb.ingest db ~fingerprint fresh);
@@ -466,13 +460,11 @@ let depth_sweep () =
     (Printf.sprintf "Speculation depth: K-deep pipelining (%d job(s))"
        parallel_jobs);
   let module R = Spt_runtime.Runtime in
-  let runtime_config = { (R.default_config ()) with R.oracle = false } in
   (* best of two runs per depth, to shave scheduler noise off the smoke
      test's depth-4 >= depth-1 assertion *)
   let run ?depth src =
-    let once () =
-      Pipeline.run_parallel ~jobs:parallel_jobs ?depth ~runtime_config src
-    in
+    let runtime_config = runtime_config ?depth () in
+    let once () = Pipeline.run_parallel ~runtime_config src in
     let a = once () in
     let b = once () in
     if a.Pipeline.pr_runtime.R.wall_time <= b.Pipeline.pr_runtime.R.wall_time

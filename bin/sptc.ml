@@ -18,6 +18,7 @@
 
 open Cmdliner
 module Json = Spt_obs.Json
+module Profile_store = Spt_profile.Profile_store
 
 (* one version string for the tool and every subcommand, so both
    [sptc --version] and [sptc run --version] answer; it is also mixed
@@ -183,7 +184,7 @@ let profile_in_arg =
            --feedback-out)); its runtime telemetry overrides diverging \
            violation probabilities, and its digest keys the artifact cache")
 
-let load_profile profile_in = Option.map Spt_feedback.Profile_store.load profile_in
+let load_profile profile_in = Option.map Profile_store.load profile_in
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags: --trace, --metrics, --log-level *)
@@ -304,27 +305,22 @@ let run_cmd =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
         let chunk = validate_chunk chunk in
-        if (not parallel) && depth <> None then begin
-          Format.eprintf "error: --depth requires --parallel@.";
-          exit 2
-        end;
+        if not parallel then
+          List.iter
+            (fun (flag, given) ->
+              if given then begin
+                Format.eprintf "error: %s requires --parallel@." flag;
+                exit 2
+              end)
+            [
+              ("--depth", depth <> None);
+              ("--feedback-out", feedback_out <> None);
+              ("--attrib", attrib <> None);
+              ("--chunk", chunk <> None);
+              ("--cache-dir", cache_dir <> None);
+              ("--profile-in", profile_in <> None);
+            ];
         let config = resolve_depth config depth in
-        if (not parallel) && feedback_out <> None then begin
-          Format.eprintf "error: --feedback-out requires --parallel@.";
-          exit 2
-        end;
-        if (not parallel) && attrib <> None then begin
-          Format.eprintf "error: --attrib requires --parallel@.";
-          exit 2
-        end;
-        if (not parallel) && chunk <> None then begin
-          Format.eprintf "error: --chunk requires --parallel@.";
-          exit 2
-        end;
-        if (not parallel) && cache_dir <> None then begin
-          Format.eprintf "error: --cache-dir requires --parallel@.";
-          exit 2
-        end;
         if not parallel then begin
           let src = read_file file in
           let r = Spt_exec.Engine.run (Spt_driver.Pipeline.front_end src) in
@@ -345,29 +341,25 @@ let run_cmd =
           in
           (* an explicit --profile-in always wins; otherwise the profile
              database's accumulated entry guides the compile *)
+          let explicit = load_profile profile_in in
           let profile, db_gen =
-            match load_profile profile_in with
-            | Some _ as p -> (p, None)
-            | None -> (
-              match fingerprint with
-              | None -> (None, None)
-              | Some fp -> (
-                match Spt_profdb.Profdb.lookup db ~fingerprint:fp with
-                | Some (store, g)
-                  when not (Spt_feedback.Profile_store.is_empty store) ->
-                  (Some store, Some g)
-                | Some _ | None -> (None, None)))
-          in
-          let profile_seed = Option.map Spt_feedback.Profile_store.seed profile in
-          let observations =
-            Option.map Spt_feedback.Telemetry.observations profile
+            match fingerprint with
+            | Some fp -> Spt_profdb.Profdb.guide db ~fingerprint:fp explicit
+            | None -> (explicit, None)
           in
           let timeline =
             Option.map (fun _ -> Spt_obs.Timeline.create ()) attrib
           in
+          let runtime_config =
+            {
+              (Spt_runtime.Runtime.default_config ?jobs ()) with
+              chunk;
+              timeline;
+            }
+          in
           let pr =
-            Spt_driver.Pipeline.run_parallel ~config ?jobs ?chunk ?timeline
-              ?profile_seed ?observations src
+            Spt_driver.Pipeline.run_parallel ~config ~runtime_config ?profile
+              src
           in
           Option.iter
             (fun path ->
@@ -375,10 +367,7 @@ let run_cmd =
               (* the TLS simulator's predicted speedup for the same
                  config, so the report can state the gap *)
               let predicted =
-                let e =
-                  Spt_driver.Pipeline.evaluate ~config ?profile_seed
-                    ?observations src
-                in
+                let e = Spt_driver.Pipeline.evaluate ~config ?profile src in
                 e.Spt_driver.Pipeline.speedup
               in
               Json.to_file path
@@ -388,29 +377,32 @@ let run_cmd =
             attrib;
           Option.iter
             (fun path ->
-              let store = Spt_feedback.Profile_store.load path in
+              let store = Profile_store.load path in
               Spt_feedback.Telemetry.record store
                 pr.Spt_driver.Pipeline.pr_spt
                 pr.Spt_driver.Pipeline.pr_runtime;
-              Spt_feedback.Profile_store.save store path;
+              Profile_store.save store path;
               Spt_obs.Log.info "feedback telemetry merged into %s (digest %s)"
                 path
-                (Spt_feedback.Profile_store.digest store))
+                (Profile_store.digest store))
             feedback_out;
           (* always feed the run's telemetry back to the database, so the
              next run of the same program is better guided *)
           Option.iter
             (fun fp ->
-              let fresh = Spt_feedback.Profile_store.empty () in
+              let fresh = Profile_store.empty () in
               Spt_feedback.Telemetry.record fresh
                 pr.Spt_driver.Pipeline.pr_spt
                 pr.Spt_driver.Pipeline.pr_runtime;
               match Spt_profdb.Profdb.ingest db ~fingerprint:fp fresh with
               | Some g ->
                 Format.printf "; profdb: generation %d%s@." g
-                  (match db_gen with
-                  | Some g_in -> Printf.sprintf " (compile guided by gen %d)" g_in
-                  | None -> " (unguided compile)")
+                  (match (db_gen, profile) with
+                  | Some g_in, _ ->
+                    Printf.sprintf " (compile guided by gen %d)" g_in
+                  | None, Some p when not (Profile_store.is_empty p) ->
+                    " (compile guided by --profile-in)"
+                  | None, _ -> " (unguided compile)")
               | None -> ())
             fingerprint;
           let open Spt_runtime.Runtime in
@@ -1118,11 +1110,11 @@ let profile_cmd =
         let ep, dp, vp =
           Spt_driver.Pipeline.profile_source ~config (read_file file)
         in
-        let store = Spt_feedback.Profile_store.load out in
-        Spt_feedback.Profile_store.absorb_profiles store ep dp vp;
-        Spt_feedback.Profile_store.save store out;
+        let store = Profile_store.load out in
+        Profile_store.absorb_profiles store ep dp vp;
+        Profile_store.save store out;
         Format.printf "profile store %s: digest %s@." out
-          (Spt_feedback.Profile_store.digest store))
+          (Profile_store.digest store))
   in
   Cmd.v
     (Cmd.info "profile" ~version
@@ -1196,7 +1188,7 @@ let adapt_cmd =
                  (Spt_driver.Pipeline.front_end src))
           else None
         in
-        let store = Option.map Spt_feedback.Profile_store.load store_path in
+        let store = Option.map Profile_store.load store_path in
         (* seed from the database's accumulated entry; the converged
            store then *contains* it, which is why the write-back below
            is a publish (replace), not an ingest (additive merge) *)
@@ -1205,12 +1197,12 @@ let adapt_cmd =
           | None -> store
           | Some fp -> (
             match Spt_profdb.Profdb.lookup db ~fingerprint:fp with
-            | Some (dbs, g) when not (Spt_feedback.Profile_store.is_empty dbs)
+            | Some (dbs, g) when not (Profile_store.is_empty dbs)
               ->
               Spt_obs.Log.info "adapt seeded from profdb generation %d" g;
               Some
                 (match store with
-                | Some s -> Spt_feedback.Profile_store.merge s dbs
+                | Some s -> Profile_store.merge s dbs
                 | None -> dbs)
             | Some _ | None -> store)
         in
@@ -1219,7 +1211,7 @@ let adapt_cmd =
         in
         print_string (Spt_feedback.Adapt.report o);
         Option.iter
-          (fun path -> Spt_feedback.Profile_store.save o.Spt_feedback.Adapt.store path)
+          (fun path -> Profile_store.save o.Spt_feedback.Adapt.store path)
           store_path;
         Option.iter
           (fun fp ->
@@ -1430,14 +1422,14 @@ let profdb_cmd =
       handle_errors (fun () ->
           let db = open_db cache_dir in
           let store = Spt_profdb.Profdb.export ?fingerprint db in
-          if Spt_feedback.Profile_store.is_empty store then begin
+          if Profile_store.is_empty store then begin
             Format.eprintf "error: no matching profile-database entries under %s@."
               (Option.value ~default:"?" (Spt_profdb.Profdb.dir db));
             exit 1
           end;
-          Spt_feedback.Profile_store.save store out;
+          Profile_store.save store out;
           Format.printf "exported profile store to %s (digest %s)@." out
-            (Spt_feedback.Profile_store.digest store))
+            (Profile_store.digest store))
     in
     Cmd.v
       (Cmd.info "export" ~version

@@ -34,22 +34,6 @@ let m_feedback_divergences = Obs.Metrics.counter "feedback.divergences"
 
 type decision = Selected | Rejected of Select.reject_reason
 
-(** Observed runtime behaviour of one transformed loop — the empirical
-    counterpart of the compile-time violation probabilities, fed back
-    into the analysis by the adaptive re-partitioning loop. *)
-type loop_obs = {
-  ob_iters : int;  (** iterations retired *)
-  ob_forks : int;
-  ob_commits : int;
-  ob_violations : int;  (** validation failures *)
-  ob_faults : int;  (** speculative faults *)
-  ob_kills : int;  (** tasks discarded behind a misspeculation *)
-  ob_serial_reexecs : int;
-  ob_stale_regions : (int * int) list;
-      (** validation failures per store region sid *)
-  ob_stale_other : int;  (** register / RNG failures (unattributable) *)
-}
-
 (** Minimum observed−predicted misspeculation-probability excess before
     a feedback override replaces the compile-time estimate. *)
 let default_divergence_threshold = 0.1
@@ -229,21 +213,21 @@ let vc_region (g : Depgraph.t) vc =
    probability: a candidate the partitioner moved pre-fork cannot fail
    validation, so its zero observed rate says nothing about its true
    v(c) — correcting downward from it would oscillate. *)
-let apply_feedback ~divergence (graph : Depgraph.t) (ob : loop_obs) =
-  if ob.ob_iters = 0 then graph
+let apply_feedback ~divergence (graph : Depgraph.t) (ob : Profile_store.obs) =
+  if ob.o_iters = 0 then graph
   else begin
-    let misspecs = ob.ob_violations + ob.ob_faults in
+    let misspecs = ob.o_violations + ob.o_faults in
     let amp =
-      float_of_int (misspecs + ob.ob_kills) /. float_of_int (max 1 misspecs)
+      float_of_int (misspecs + ob.o_kills) /. float_of_int (max 1 misspecs)
     in
     (* one validation per *chunk*, so the per-candidate probability is
        stale count over validation attempts (commits + misspecs), not
        over retired iterations — with chunk size 1 the two coincide,
        with larger chunks the iteration denominator would dilute a
        once-per-chunk failure by the chunk size *)
-    let attempts = float_of_int (max 1 (ob.ob_commits + misspecs)) in
+    let attempts = float_of_int (max 1 (ob.o_commits + misspecs)) in
     let rate n = Float.min 1.0 (amp *. (float_of_int n /. attempts)) in
-    let other = rate ob.ob_stale_other in
+    let other = rate ob.o_stale_other in
     let overrides =
       List.filter_map
         (fun vc ->
@@ -252,7 +236,7 @@ let apply_feedback ~divergence (graph : Depgraph.t) (ob : loop_obs) =
             | Some sid ->
               rate
                 (Option.value ~default:0
-                   (List.assoc_opt sid ob.ob_stale_regions))
+                   (List.assoc_opt sid ob.o_stale_regions))
             | None -> other
           in
           let predicted = Depgraph.violation_prob graph vc in
@@ -453,10 +437,17 @@ let profile_source ?(config = Config.best) src =
   to_ssa prog;
   profile_all ~value_targets:(svp_targets prog) prog ~max_steps:profile_steps
 
-let compile_spt ?profile_seed ?(observations = [])
-    ?(divergence = default_divergence_threshold) (config : Config.t) src :
-    spt_compilation =
+let compile_spt ?profile ?(divergence = default_divergence_threshold)
+    (config : Config.t) src : spt_compilation =
   Obs.Trace.span "compile.spt" @@ fun () ->
+  (* the profile store guides every profiling pass and the analysis;
+     an empty store guides nothing, so it compiles as no store *)
+  let seed, observations =
+    match profile with
+    | Some p when not (Profile_store.is_empty p) ->
+      (Profile_store.seed p, Profile_store.observations p)
+    | Some _ | None -> ((fun _ _ _ -> ()), [])
+  in
   let prog = front_end src in
   if config.Config.inline then
     Obs.Trace.span "inline" (fun () -> ignore (Inline.run prog));
@@ -472,7 +463,7 @@ let compile_spt ?profile_seed ?(observations = [])
       ~max_steps:profile_steps
   in
   (* persistent profiles: merge stored counts into the fresh profilers *)
-  (match profile_seed with Some seed -> seed ep dp vp | None -> ());
+  seed ep dp vp;
   let no_overrides : (string * int, (int * float) list) Hashtbl.t =
     Hashtbl.create 4
   in
@@ -588,7 +579,7 @@ let compile_spt ?profile_seed ?(observations = [])
       (* the rewrites added blocks: re-profile and re-analyze *)
       Obs.Trace.span "svp.reprofile" @@ fun () ->
       let ep, dp, vp = profile_all prog ~max_steps:profile_steps in
-      (match profile_seed with Some seed -> seed ep dp vp | None -> ());
+      seed ep dp vp;
       (* violation overrides: the SVP'd carried value misspeculates only
          at the profiled misprediction frequency — measured directly as
          the recovery arm's execution probability *)
@@ -888,8 +879,7 @@ let compile_spt ?profile_seed ?(observations = [])
 (* ------------------------------------------------------------------ *)
 (* Evaluation: SPT build vs the non-SPT baseline *)
 
-let evaluate ?(config = Config.best) ?profile_seed ?observations ?divergence
-    src : eval =
+let evaluate ?(config = Config.best) ?profile ?divergence src : eval =
   let base_prog =
     Obs.Trace.span "compile.base" (fun () ->
         compile_base ~unroll:config.Config.unroll ~inline:config.Config.inline
@@ -899,7 +889,7 @@ let evaluate ?(config = Config.best) ?profile_seed ?observations ?divergence
     Obs.Trace.span "simulate.base" (fun () ->
         Tls_machine.run ~config:config.Config.sim base_prog)
   in
-  let spt = compile_spt ?profile_seed ?observations ?divergence config src in
+  let spt = compile_spt ?profile ?divergence config src in
   let spt_res =
     Obs.Trace.span "simulate.spt" (fun () ->
         Tls_machine.run ~config:config.Config.sim ~spt_loops:spt.spt_loops
@@ -957,9 +947,9 @@ let loop_specs spt =
       })
     spt.spt_loops
 
-let run_parallel ?(config = Config.best) ?jobs ?chunk ?depth ?runtime_config
-    ?timeline ?profile_seed ?observations ?divergence src : parallel_run =
-  let spt = compile_spt ?profile_seed ?observations ?divergence config src in
+let run_parallel ?(config = Config.best) ?runtime_config ?profile ?divergence
+    src : parallel_run =
+  let spt = compile_spt ?profile ?divergence config src in
   let loops = loop_specs spt in
   let rcfg =
     let base =
@@ -967,30 +957,11 @@ let run_parallel ?(config = Config.best) ?jobs ?chunk ?depth ?runtime_config
       | Some c -> c
       | None -> Spt_runtime.Runtime.default_config ()
     in
-    let base =
-      match jobs with
-      | Some j ->
-        let j = max 1 j in
-        { base with Spt_runtime.Runtime.jobs = j; window = 2 * j }
-      | None -> base
-    in
-    let base =
-      match chunk with
-      | Some n -> { base with Spt_runtime.Runtime.chunk = Some (max 1 n) }
-      | None -> base
-    in
-    let base =
-      (* explicit [depth] wins; else a forced compile-config depth
-         (the two arrive from the same --depth flag, but API callers
-         may set either) *)
-      match (depth, config.Config.depth) with
-      | Some k, _ | None, Some k ->
-        { base with Spt_runtime.Runtime.depth = Some (max 1 k) }
-      | None, None -> base
-    in
-    match timeline with
-    | Some t -> { base with Spt_runtime.Runtime.timeline = Some t }
-    | None -> base
+    (* a depth the compile config forces is the runtime's too, unless
+       the runtime config forces its own *)
+    match (base.Spt_runtime.Runtime.depth, config.Config.depth) with
+    | None, Some k -> { base with Spt_runtime.Runtime.depth = Some (max 1 k) }
+    | _ -> base
   in
   (* measured-speedup baseline: the same program run sequentially
      (markers are no-ops), on the same engine, on this machine, right

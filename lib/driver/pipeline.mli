@@ -11,23 +11,6 @@ open Spt_tlsim
 
 type decision = Selected | Rejected of Select.reject_reason
 
-(** Observed runtime behaviour of one transformed loop, as exported by
-    the feedback subsystem ({!Spt_feedback}) and fed back into the
-    analysis: observed misspeculation rates override compile-time
-    violation probabilities that diverge beyond a threshold. *)
-type loop_obs = {
-  ob_iters : int;  (** iterations retired *)
-  ob_forks : int;
-  ob_commits : int;
-  ob_violations : int;  (** validation failures *)
-  ob_faults : int;  (** speculative faults *)
-  ob_kills : int;  (** tasks discarded behind a misspeculation *)
-  ob_serial_reexecs : int;
-  ob_stale_regions : (int * int) list;
-      (** validation failures per store region sid *)
-  ob_stale_other : int;  (** register / RNG failures (unattributable) *)
-}
-
 (** Minimum observed−predicted misspeculation-probability excess before
     a feedback override replaces the compile-time estimate (overrides
     only ever raise a probability — a candidate moved pre-fork cannot
@@ -113,19 +96,15 @@ type spt_compilation = {
   records : loop_record list;
 }
 
-(** [profile_seed] is called on the freshly built profilers after every
-    profiling pass (including the SVP re-profile) so stored counts can
-    be merged in before analysis; [observations], keyed by
-    (function, loop header), injects observed misspeculation rates;
-    [divergence] tunes the override threshold
-    ({!default_divergence_threshold}). *)
+(** [profile] guides the compile: its counts are merged into the
+    freshly built profilers after every profiling pass (including the
+    SVP re-profile, {!Spt_profile.Profile_store.seed}), and its
+    observed per-loop misspeculation rates, keyed by (function, loop
+    header), override compile-time violation probabilities that
+    diverge beyond [divergence] ({!default_divergence_threshold}).  An
+    empty store compiles as no store. *)
 val compile_spt :
-  ?profile_seed:
-    (Spt_profile.Edge_profile.t ->
-    Spt_profile.Dep_profile.t ->
-    Spt_profile.Value_profile.t ->
-    unit) ->
-  ?observations:((string * int) * loop_obs) list ->
+  ?profile:Spt_profile.Profile_store.t ->
   ?divergence:float ->
   Config.t ->
   string ->
@@ -138,15 +117,11 @@ val compile_spt :
     the loop has no record. *)
 val loop_specs : spt_compilation -> Spt_runtime.Runtime.loop_spec list
 
-(** Compile both ways, simulate both, compare. *)
+(** Compile both ways, simulate both, compare.  [profile] and
+    [divergence] guide the SPT compile ({!compile_spt}). *)
 val evaluate :
   ?config:Config.t ->
-  ?profile_seed:
-    (Spt_profile.Edge_profile.t ->
-    Spt_profile.Dep_profile.t ->
-    Spt_profile.Value_profile.t ->
-    unit) ->
-  ?observations:((string * int) * loop_obs) list ->
+  ?profile:Spt_profile.Profile_store.t ->
   ?divergence:float ->
   string ->
   eval
@@ -167,31 +142,20 @@ type parallel_run = {
   pr_spt : spt_compilation;  (** the compilation that was executed *)
 }
 
-(** Compile with [config], then execute on OCaml 5 domains.
-    [runtime_config] replaces the default runtime configuration; [jobs]
-    then overrides its worker count (else [SPT_JOBS] / 1); [chunk]
-    forces the iterations-per-fork chunk size (else auto-sized from the
-    cost model); [depth] forces the speculation depth — chunks in
-    flight — for every loop (else [config]'s forced depth, else the
-    cost model's per-loop pick); [timeline] overrides its timeline — the per-domain
-    speculation events land there, and (when tracing is enabled) are
-    merged into the pipeline trace as extra lanes.  Both the parallel
-    run and its sequential baseline execute on {!Spt_exec.Engine}.
-    [profile_seed] / [observations] / [divergence] are passed to
-    {!compile_spt}. *)
+(** Compile with [config], then execute on OCaml 5 domains under
+    [runtime_config] (default {!Spt_runtime.Runtime.default_config}),
+    which sets the worker count, the chunk size, the speculation depth
+    and the timeline.  When [runtime_config] forces no depth, [config]'s
+    forced depth is the runtime's; with neither, each loop runs at the
+    cost model's pick.  A timeline receives the per-domain speculation
+    events, merged into the pipeline trace as extra lanes when tracing
+    is enabled.  Both the parallel run and its sequential baseline
+    execute on {!Spt_exec.Engine}.  [profile] and [divergence] are
+    passed to {!compile_spt}. *)
 val run_parallel :
   ?config:Config.t ->
-  ?jobs:int ->
-  ?chunk:int ->
-  ?depth:int ->
   ?runtime_config:Spt_runtime.Runtime.config ->
-  ?timeline:Spt_obs.Timeline.t ->
-  ?profile_seed:
-    (Spt_profile.Edge_profile.t ->
-    Spt_profile.Dep_profile.t ->
-    Spt_profile.Value_profile.t ->
-    unit) ->
-  ?observations:((string * int) * loop_obs) list ->
+  ?profile:Spt_profile.Profile_store.t ->
   ?divergence:float ->
   string ->
   parallel_run

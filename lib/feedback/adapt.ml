@@ -3,6 +3,7 @@
 module Json = Spt_obs.Json
 open Spt_driver
 module Runtime = Spt_runtime.Runtime
+module Profile_store = Spt_profile.Profile_store
 
 let m_adapt = Spt_obs.Metrics.counter "feedback.adapt_iterations"
 
@@ -66,17 +67,16 @@ let run ?(config = Config.best) ?jobs ?(iters = 3)
     let ep, dp, vp = Pipeline.profile_source ~config src in
     Profile_store.absorb_profiles store ep dp vp
   end;
+  let runtime_config = Runtime.default_config ?jobs () in
   let iterations = ref [] in
   let prev_sig = ref None in
   let converged = ref false in
   let index = ref 1 in
   while !index <= max 1 iters && not !converged do
     Spt_obs.Metrics.inc m_adapt;
-    let observations = Telemetry.observations store in
     let pr =
-      Pipeline.run_parallel ~config ?jobs
-        ~profile_seed:(Profile_store.seed store)
-        ~observations ~divergence:threshold src
+      Pipeline.run_parallel ~config ~runtime_config ~profile:store
+        ~divergence:threshold src
     in
     Telemetry.record store pr.Pipeline.pr_spt pr.Pipeline.pr_runtime;
     let s = signature pr.Pipeline.pr_spt in

@@ -3,10 +3,10 @@
     the store → recompile, until the per-loop partition decisions stop
     changing or the iteration budget runs out.
 
-    Each iteration seeds the compilation's profilers from the store
-    ({!Profile_store.seed}) and injects the accumulated telemetry as
-    violation-probability overrides
-    ({!Spt_driver.Pipeline.compile_spt}).  Because overrides are
+    Each iteration compiles with the store as its profile
+    ({!Spt_driver.Pipeline.compile_spt}): the store seeds the
+    compilation's profilers, and its accumulated telemetry overrides
+    diverging violation probabilities.  Because overrides are
     re-derived from the *accumulated* store each time, a loop the
     feedback despeculates stays despeculated — its old telemetry
     persists even though it produces no new misspeculations — so the
@@ -33,7 +33,7 @@ type outcome = {
   iterations : iteration list;  (** in execution order, non-empty *)
   converged : bool;
       (** the final iteration's partitions equal the previous one's *)
-  store : Profile_store.t;  (** accumulated profiles + telemetry *)
+  store : Spt_profile.Profile_store.t;  (** accumulated profiles + telemetry *)
 }
 
 (** Run the loop on MiniC source.  [iters] bounds the rounds (default
@@ -46,7 +46,7 @@ val run :
   ?jobs:int ->
   ?iters:int ->
   ?threshold:float ->
-  ?store:Profile_store.t ->
+  ?store:Spt_profile.Profile_store.t ->
   string ->
   outcome
 

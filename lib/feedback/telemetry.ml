@@ -2,6 +2,7 @@
 
 open Spt_driver
 module Runtime = Spt_runtime.Runtime
+module Profile_store = Spt_profile.Profile_store
 
 let loops_of (spt : Pipeline.spt_compilation) =
   List.filter_map
@@ -39,20 +40,3 @@ let record store (spt : Pipeline.spt_compilation) (r : Runtime.result) =
         Profile_store.add_observation store ~func ~header (obs_of st)
       | None -> ())
     r.Runtime.stats
-
-let observations store =
-  List.map
-    (fun ((func, header), (o : Profile_store.obs)) ->
-      ( (func, header),
-        {
-          Pipeline.ob_iters = o.Profile_store.o_iters;
-          ob_forks = o.Profile_store.o_forks;
-          ob_commits = o.Profile_store.o_commits;
-          ob_violations = o.Profile_store.o_violations;
-          ob_faults = o.Profile_store.o_faults;
-          ob_kills = o.Profile_store.o_kills;
-          ob_serial_reexecs = o.Profile_store.o_serial_reexecs;
-          ob_stale_regions = o.Profile_store.o_stale_regions;
-          ob_stale_other = o.Profile_store.o_stale_other;
-        } ))
-    (Profile_store.observations store)

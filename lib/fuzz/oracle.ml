@@ -192,13 +192,11 @@ let invariant_divergences ~point (config : Config.t) (spt : Pipeline.spt_compila
 (* Matrix points *)
 
 let run_on_runtime ?depth ~max_steps ~jobs (spt : Pipeline.spt_compilation) =
-  let c = Runtime.default_config () in
+  let c = Runtime.default_config ~jobs () in
   let config =
     {
       c with
-      Runtime.jobs;
-      window = 2 * jobs;
-      max_steps;
+      Runtime.max_steps;
       spec_fuel = min c.Runtime.spec_fuel max_steps;
       depth;
     }
@@ -314,14 +312,9 @@ let feedback_point ~max_steps ~config ~reference:ref_oc ~spt src =
   let point = string_of_point P_feedback in
   try
     let r = run_on_runtime ~max_steps ~jobs:2 spt in
-    let store = Spt_feedback.Profile_store.empty () in
+    let store = Spt_profile.Profile_store.empty () in
     Spt_feedback.Telemetry.record store spt r;
-    let guided =
-      Pipeline.compile_spt
-        ~profile_seed:(Spt_feedback.Profile_store.seed store)
-        ~observations:(Spt_feedback.Telemetry.observations store)
-        config src
-    in
+    let guided = Pipeline.compile_spt ~profile:store config src in
     match run_on_runtime ~max_steps ~jobs:2 guided with
     | exception Interp.Runtime_error m ->
       [ { d_point = point; d_kind = "error"; d_detail = m } ]

@@ -24,8 +24,9 @@
     - [cache] — a cold then warm {!Spt_service.Cached.compile} through
       a throwaway on-disk cache: the warm request must hit and replay
       the report byte-identically.
-    - [feedback] — runtime telemetry of the jobs-2 run exported through
-      {!Spt_feedback} and fed back into a guided recompile, which must
+    - [feedback] — runtime telemetry of the jobs-2 run recorded into a
+      {!Spt_profile.Profile_store} ({!Spt_feedback.Telemetry.record})
+      and fed back as the profile of a guided recompile, which must
       preserve semantics (guidance may change the partition, never the
       meaning).
     - [inject:<fault>] — a recompile with a transform fault armed

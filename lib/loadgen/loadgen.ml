@@ -442,7 +442,7 @@ let run ?(mode = `Serve) ?(clients = 8) ?(requests = 128)
   let profile =
     Filename.temp_file "spt-loadtest-profile" ".json"
   in
-  Spt_feedback.Profile_store.save (Spt_feedback.Profile_store.empty ()) profile;
+  Spt_profile.Profile_store.save (Spt_profile.Profile_store.empty ()) profile;
   let cleanup () = try Sys.remove profile with _ -> () in
   Fun.protect ~finally:cleanup (fun () ->
       let prewarm = prewarm_requests ~profile in

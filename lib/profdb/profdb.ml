@@ -1,7 +1,7 @@
 (** On-disk fleet profile database — see profdb.mli. *)
 
 module Json = Spt_obs.Json
-module Store = Spt_feedback.Profile_store
+module Store = Spt_profile.Profile_store
 
 let schema = "spt-profdb-v1"
 let entry_schema = "spt-profdb-entry-v1"
@@ -232,6 +232,15 @@ let lookup t ~fingerprint =
       Spt_obs.Metrics.inc m_misses;
       Spt_obs.Metrics.inc m_rejected;
       None)
+
+let guide t ~fingerprint explicit =
+  match explicit with
+  | Some _ -> (explicit, None)
+  | None -> (
+    match lookup t ~fingerprint with
+    | Some (store, generation) when not (Store.is_empty store) ->
+      (Some store, Some generation)
+    | Some _ | None -> (None, None))
 
 (* shared update shape of [ingest] and [publish]: read the current
    entry under the lock, combine, replace atomically *)

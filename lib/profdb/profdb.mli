@@ -1,13 +1,13 @@
 (** The fleet-scale profile database: shared, decaying, auto-applied
     feedback across runs, processes and users.
 
-    The feedback loop ({!Spt_feedback}) makes one run's telemetry
-    improve one recompile.  The profile database makes profiles a
-    shared accumulating asset: a directory of per-program entries under
+    A profile store ({!Spt_profile.Profile_store}) makes one run's
+    telemetry improve one recompile.  The profile database makes
+    profiles a shared accumulating asset: a directory of per-program entries under
     the cache dir ([<cache>/spt-profdb-v1/]), keyed by the canonical IR
     fingerprint ({!Spt_service.Fingerprint.program} — config- and
     layout-independent, so every client compiling the same program
-    shares one entry), each entry holding a {!Spt_feedback.Profile_store}
+    shares one entry), each entry holding a {!Spt_profile.Profile_store}
     payload plus generation metadata.
 
     Writers {!ingest} fresh telemetry with an additive merge under a
@@ -17,6 +17,11 @@
     scaled by the decay factor — a generation-[k] observation is
     weighted [decay^(n-k)] after [n] generations, so stale telemetry
     ages out instead of outvoting fresh behaviour forever.
+
+    Readers that compile go through {!guide}, the one place that
+    decides whether an explicit store or the database's entry guides a
+    compile ({!Spt_service.Cached.compile}, the server's ["run": true]
+    workload op, [sptc run --parallel]).
 
     Entries are stamped with the producing tool version; readers ignore
     entries from an incompatible tool, and *any* malfunction — missing
@@ -64,7 +69,20 @@ val decay : t -> float
 (** [lookup db ~fingerprint] is the accumulated store and its
     generation, or [None] on any malfunction (see above). *)
 val lookup :
-  t -> fingerprint:string -> (Spt_feedback.Profile_store.t * int) option
+  t -> fingerprint:string -> (Spt_profile.Profile_store.t * int) option
+
+(** [guide db ~fingerprint explicit] picks the store that guides a
+    compile of the program with this fingerprint, and the database
+    generation it came from.  An [explicit] store (a [--profile-in] file
+    or a request's ["profile"]) always wins and reports no generation;
+    otherwise the database's entry guides when it is non-empty.  With
+    neither, the compile is unguided: [(None, None)].  Only a missing
+    [explicit] store costs a {!lookup}. *)
+val guide :
+  t ->
+  fingerprint:string ->
+  Spt_profile.Profile_store.t option ->
+  Spt_profile.Profile_store.t option * int option
 
 (** [ingest db ~fingerprint fresh] merges one run's telemetry into the
     entry: under the database lock, the stored payload is decayed by
@@ -73,7 +91,7 @@ val lookup :
     generation, or [None] when the database is disabled or the lock
     could not be taken (the ingest is dropped, never blocked on). *)
 val ingest :
-  t -> fingerprint:string -> Spt_feedback.Profile_store.t -> int option
+  t -> fingerprint:string -> Spt_profile.Profile_store.t -> int option
 
 (** [publish db ~fingerprint store] replaces the entry's payload with
     [store] outright (no decay, no merge) — for writers like
@@ -81,7 +99,7 @@ val ingest :
     an additive ingest would double-count it.  Still bumps the
     generation; same return contract as {!ingest}. *)
 val publish :
-  t -> fingerprint:string -> Spt_feedback.Profile_store.t -> int option
+  t -> fingerprint:string -> Spt_profile.Profile_store.t -> int option
 
 (** One valid on-disk entry as [entries] reports it. *)
 type entry = {
@@ -100,7 +118,7 @@ val entries : t -> entry list * int
 
 (** Merged store over the given fingerprint's entry, or over every
     valid entry when [fingerprint] is omitted. *)
-val export : ?fingerprint:string -> t -> Spt_feedback.Profile_store.t
+val export : ?fingerprint:string -> t -> Spt_profile.Profile_store.t
 
 (** [gc ?max_entries db] deletes invalid files and, when a bound is
     given (defaulting to the database's own), evicts

@@ -33,7 +33,7 @@ val avg_trip_count : ?default:float -> t -> Ir.func -> Loops.loop -> float
 val weight_of_loop : t -> Ir.func -> Loops.loop -> int
 
 (** A flat, sorted rendering of every counter, for the on-disk profile
-    store ({!Spt_feedback.Profile_store}). *)
+    store ({!Profile_store}). *)
 type dump = {
   d_blocks : ((string * int) * int) list;  (** (function, block) -> count *)
   d_edges : ((string * int * int) * int) list;  (** (function, src, dst) *)

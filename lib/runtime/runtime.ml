@@ -29,8 +29,8 @@ let default_jobs () =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
   | None -> 1
 
-let default_config () =
-  let jobs = default_jobs () in
+let default_config ?jobs () =
+  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   {
     jobs;
     window = 2 * jobs;

@@ -83,9 +83,10 @@ type config = {
           bound. *)
 }
 
-(** [jobs] honours [SPT_JOBS]; window is [2 * jobs]; chunk is
-    auto-sized; depth is per-loop/auto. *)
-val default_config : unit -> config
+(** [jobs] is the given count (at least 1), else [SPT_JOBS], else 1;
+    window is [2 * jobs]; chunk is auto-sized; depth is per-loop/auto.
+    Set the other fields on the result. *)
+val default_config : ?jobs:int -> unit -> config
 
 (** The auto chunk size for a loop whose cost-model estimate is
     [iter_ops] dynamic operations per iteration: ~2048 dynamic ops per

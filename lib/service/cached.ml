@@ -22,8 +22,8 @@ type outcome = {
 (* a non-empty profile store changes analysis results, so its digest
    must be part of the key; an empty store behaves as no store *)
 let profile_digest = function
-  | Some p when not (Spt_feedback.Profile_store.is_empty p) ->
-    Some (Spt_feedback.Profile_store.digest p)
+  | Some p when not (Spt_profile.Profile_store.is_empty p) ->
+    Some (Spt_profile.Profile_store.digest p)
   | Some _ | None -> None
 
 (* the key from the program's digest, computed once per compile *)
@@ -75,21 +75,14 @@ let compile ~cache ~config ?profile ?profdb ~name source =
      config-independent program fingerprint, so warm traffic gets
      guided compiles with zero client changes *)
   let profile, profile_gen =
-    match profile with
-    | Some _ as p -> (p, None)
-    | None -> (
-      let db =
-        match profdb with
-        | Some db -> db
-        | None ->
-          Spt_profdb.Profdb.for_cache ~tool:tool_version
-            (Artifact_cache.dir cache)
-      in
-      match Spt_profdb.Profdb.lookup db ~fingerprint:digest with
-      | Some (store, gen) when not (Spt_feedback.Profile_store.is_empty store)
-        ->
-        (Some store, Some gen)
-      | Some _ | None -> (None, None))
+    let db =
+      match profdb with
+      | Some db -> db
+      | None ->
+        Spt_profdb.Profdb.for_cache ~tool:tool_version
+          (Artifact_cache.dir cache)
+    in
+    Spt_profdb.Profdb.guide db ~fingerprint:digest profile
   in
   let key = key_of_digest ~config ?profile digest in
   let finish hit eval report_text =
@@ -99,14 +92,7 @@ let compile ~cache ~config ?profile ?profdb ~name source =
     { key; hit; eval; report_text; elapsed_s; profile_gen }
   in
   let cold () =
-    let profile_seed, observations =
-      match profile with
-      | Some p when not (Spt_feedback.Profile_store.is_empty p) ->
-        ( Some (Spt_feedback.Profile_store.seed p),
-          Some (Spt_feedback.Telemetry.observations p) )
-      | Some _ | None -> (None, None)
-    in
-    let e = Pipeline.evaluate ~config ?profile_seed ?observations source in
+    let e = Pipeline.evaluate ~config ?profile source in
     let eval = Report.eval_json ~name e in
     let report_text = Report.compile_text ~name e in
     Artifact_cache.store cache key

@@ -36,7 +36,7 @@ type outcome = {
     ({!Spt_driver.Config.cache_key}); an empty one keys as no store. *)
 val key_of :
   config:Spt_driver.Config.t ->
-  ?profile:Spt_feedback.Profile_store.t ->
+  ?profile:Spt_profile.Profile_store.t ->
   string ->
   string
 
@@ -47,7 +47,7 @@ val key_of :
 
     With no explicit [profile], the profile database is consulted by
     the config-independent program fingerprint
-    ({!Spt_profdb.Profdb.lookup}): a warmed fingerprint gets a guided
+    ({!Spt_profdb.Profdb.guide}): a warmed fingerprint gets a guided
     compile with zero client changes, and the guiding store's digest
     still folds into the key, so guided and unguided artifacts never
     collide.  [profdb] overrides the database (servers pass their
@@ -59,7 +59,7 @@ val key_of :
 val compile :
   cache:Artifact_cache.t ->
   config:Spt_driver.Config.t ->
-  ?profile:Spt_feedback.Profile_store.t ->
+  ?profile:Spt_profile.Profile_store.t ->
   ?profdb:Spt_profdb.Profdb.t ->
   name:string ->
   string ->

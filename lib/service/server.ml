@@ -206,7 +206,7 @@ let reply_of t req =
     (* optional persistent profile store; a missing or corrupt file
        loads as the empty store, i.e. an unguided compile *)
     let profile =
-      Option.map Spt_feedback.Profile_store.load (str_member "profile" req)
+      Option.map Spt_profile.Profile_store.load (str_member "profile" req)
     in
     let reply =
       match
@@ -230,38 +230,19 @@ let reply_of t req =
       match
         let config = config_of req in
         let jobs =
-          match Json.member "jobs" req with
-          | Some (Json.Int n) -> max 1 n
-          | _ -> 1
+          match Json.member "jobs" req with Some (Json.Int n) -> n | _ -> 1
         in
         let fingerprint = Fingerprint.program (Pipeline.front_end source) in
         let profile, gen_in =
-          match
-            Option.map Spt_feedback.Profile_store.load
-              (str_member "profile" req)
-          with
-          | Some _ as p -> (p, None)
-          | None -> (
-            match Spt_profdb.Profdb.lookup t.profdb ~fingerprint with
-            | Some (s, g) when not (Spt_feedback.Profile_store.is_empty s) ->
-              (Some s, Some g)
-            | Some _ | None -> (None, None))
-        in
-        let profile_seed, observations =
-          match profile with
-          | Some p when not (Spt_feedback.Profile_store.is_empty p) ->
-            ( Some (Spt_feedback.Profile_store.seed p),
-              Some (Spt_feedback.Telemetry.observations p) )
-          | Some _ | None -> (None, None)
+          Spt_profdb.Profdb.guide t.profdb ~fingerprint
+            (Option.map Spt_profile.Profile_store.load
+               (str_member "profile" req))
         in
         let runtime_config =
-          { (Spt_runtime.Runtime.default_config ()) with oracle = false }
+          { (Spt_runtime.Runtime.default_config ~jobs ()) with oracle = false }
         in
-        let pr =
-          Pipeline.run_parallel ~config ~jobs ~runtime_config ?profile_seed
-            ?observations source
-        in
-        let fresh = Spt_feedback.Profile_store.empty () in
+        let pr = Pipeline.run_parallel ~config ~runtime_config ?profile source in
+        let fresh = Spt_profile.Profile_store.empty () in
         Spt_feedback.Telemetry.record fresh pr.Pipeline.pr_spt
           pr.Pipeline.pr_runtime;
         (pr, gen_in, Spt_profdb.Profdb.ingest t.profdb ~fingerprint fresh)

@@ -347,6 +347,46 @@ let test_chunk_flags () =
           Alcotest.(check bool) "top output names the chunk" true
             (has (read_file top) "chunk 4")))
 
+let test_profile_in_flags () =
+  let has hay needle =
+    let n = String.length needle and l = String.length hay in
+    let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  with_source loopy_src (fun path ->
+      let code, err =
+        exec_stderr [ "run"; path; "--profile-in"; "/nonexistent/profile.json" ]
+      in
+      Alcotest.(check int) "--profile-in without --parallel exits 2" 2 code;
+      Alcotest.(check bool) "rejection names --profile-in" true
+        (has err "--profile-in requires --parallel");
+      with_tmpdir (fun dir ->
+          let store = Filename.concat dir "p.json" in
+          let cache = Filename.concat dir "cache" in
+          let out = Filename.concat dir "run.out" in
+          Alcotest.(check int) "profile writes a store" 0
+            (exec [ "profile"; path; "--profile-out"; store ]);
+          let run profile_in =
+            Sys.command
+              (Filename.quote_command sptc
+                 [
+                   "run"; path; "--parallel"; "--profile-in"; profile_in;
+                   "--cache-dir"; cache;
+                 ]
+              ^ " > " ^ Filename.quote out ^ " 2>/dev/null")
+          in
+          Alcotest.(check int) "guided parallel run exits 0" 0 (run store);
+          Alcotest.(check bool) "a non-empty --profile-in guided the compile"
+            true
+            (has (read_file out)
+               "; profdb: generation 1 (compile guided by --profile-in)");
+          (* an explicit empty store still overrides the database's
+             entry, and guides nothing *)
+          Alcotest.(check int) "empty --profile-in run exits 0" 0
+            (run (Filename.concat dir "missing.json"));
+          Alcotest.(check bool) "an empty --profile-in compiles unguided" true
+            (has (read_file out) "; profdb: generation 2 (unguided compile)")))
+
 let test_depth_flags () =
   let has hay needle =
     let n = String.length needle and l = String.length hay in
@@ -462,6 +502,7 @@ let suite =
     Alcotest.test_case "run --attrib + top" `Slow test_attrib_exit_codes;
     Alcotest.test_case "--chunk hardening" `Slow test_chunk_flags;
     Alcotest.test_case "--depth hardening" `Slow test_depth_flags;
+    Alcotest.test_case "--profile-in hardening" `Slow test_profile_in_flags;
     Alcotest.test_case "top exit codes" `Quick test_top_exit_codes;
     Alcotest.test_case "batch cache roundtrip" `Quick test_batch_cache_roundtrip;
     Alcotest.test_case "batch bad file exit 1" `Quick test_batch_bad_file_exits_1;

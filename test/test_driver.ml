@@ -146,7 +146,13 @@ let test_workloads_all_parse () =
    (almost) all of the run's wall time *)
 let test_parallel_attrib () =
   let timeline = Spt_obs.Timeline.create () in
-  let pr = Pipeline.run_parallel ~jobs:2 ~timeline mixed_program in
+  let runtime_config =
+    {
+      (Spt_runtime.Runtime.default_config ~jobs:2 ()) with
+      timeline = Some timeline;
+    }
+  in
+  let pr = Pipeline.run_parallel ~runtime_config mixed_program in
   Alcotest.(check bool) "timeline recorded events" true
     (Spt_obs.Timeline.events timeline > 0);
   Alcotest.(check bool) "worker lanes registered" true

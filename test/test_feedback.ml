@@ -6,7 +6,7 @@
     partition mispredict. *)
 
 module Json = Spt_obs.Json
-module Store = Spt_feedback.Profile_store
+module Store = Spt_profile.Profile_store
 module Telemetry = Spt_feedback.Telemetry
 module Adapt = Spt_feedback.Adapt
 module Pipeline = Spt_driver.Pipeline
@@ -244,7 +244,11 @@ let test_observation_roundtrip () =
 let test_runtime_export () =
   (* run the demo workload on the real runtime and check the exported
      telemetry is the runtime's own accounting *)
-  let pr = Pipeline.run_parallel ~jobs:2 feedback_src in
+  let pr =
+    Pipeline.run_parallel
+      ~runtime_config:(Spt_runtime.Runtime.default_config ~jobs:2 ())
+      feedback_src
+  in
   let s = Store.empty () in
   Telemetry.record s pr.Pipeline.pr_spt pr.Pipeline.pr_runtime;
   match Store.observations s with

@@ -4,7 +4,7 @@
     auto-lookup path through the cached compiler and the server. *)
 
 module Json = Spt_obs.Json
-module Store = Spt_feedback.Profile_store
+module Store = Spt_profile.Profile_store
 module Profdb = Spt_profdb.Profdb
 module Lockfile = Spt_profdb.Lockfile
 module Cache = Spt_service.Artifact_cache
@@ -155,6 +155,77 @@ let test_decay_is_monotone_to_zero () =
       | None -> Alcotest.fail "entry vanished after decay")
 
 (* ------------------------------------------------------------------ *)
+(* Guide: which store guides a compile *)
+
+let check_guide what (store, generation) (expected_store, expected_gen) =
+  Alcotest.(check bool)
+    (what ^ ": store")
+    true
+    (match (store, expected_store) with
+    | Some s, Some e -> s == e
+    | None, None -> true
+    | _ -> false);
+  Alcotest.(check (option int)) (what ^ ": generation") expected_gen generation
+
+let test_guide_explicit_wins () =
+  with_tmpdir (fun dir ->
+      let d = db dir in
+      let fingerprint = "explicit" in
+      ignore
+        (Profdb.ingest d ~fingerprint (store_with ~iters:100 ~violations:10 ()));
+      let explicit = store_with ~iters:50 ~violations:40 () in
+      check_guide "explicit over a warm entry"
+        (Profdb.guide d ~fingerprint (Some explicit))
+        (Some explicit, None);
+      (* an explicit store wins even when it is empty: the compile then
+         runs unguided instead of falling back to the entry *)
+      let empty = Store.empty () in
+      check_guide "empty explicit over a warm entry"
+        (Profdb.guide d ~fingerprint (Some empty))
+        (Some empty, None))
+
+let test_guide_empty_entry () =
+  with_tmpdir (fun dir ->
+      let d = db dir in
+      let fingerprint = "empty" in
+      ignore (Profdb.ingest d ~fingerprint (Store.empty ()));
+      (match Profdb.lookup d ~fingerprint with
+      | Some (store, 1) ->
+        Alcotest.(check bool) "the entry holds an empty store" true
+          (Store.is_empty store)
+      | _ -> Alcotest.fail "expected a generation-1 entry");
+      check_guide "empty entry" (Profdb.guide d ~fingerprint None) (None, None))
+
+let test_guide_warm_entry () =
+  with_tmpdir (fun dir ->
+      let d = db dir in
+      let fingerprint = "warm" in
+      check_guide "cold database" (Profdb.guide d ~fingerprint None) (None, None);
+      ignore
+        (Profdb.ingest d ~fingerprint (store_with ~iters:100 ~violations:10 ()));
+      ignore
+        (Profdb.ingest d ~fingerprint (store_with ~iters:100 ~violations:10 ()));
+      match Profdb.guide d ~fingerprint None with
+      | Some store, generation ->
+        Alcotest.(check (option int)) "the entry's generation" (Some 2)
+          generation;
+        (* 10 decayed by half, plus 10 *)
+        Alcotest.(check int) "the entry's store" 15 (violations_of store)
+      | None, _ -> Alcotest.fail "a warm entry must guide")
+
+let test_guide_disabled_db () =
+  let d = Profdb.no_db () in
+  ignore
+    (Profdb.ingest d ~fingerprint:"off" (store_with ~iters:100 ~violations:10 ()));
+  check_guide "disabled database"
+    (Profdb.guide d ~fingerprint:"off" None)
+    (None, None);
+  let explicit = store_with ~iters:50 ~violations:40 () in
+  check_guide "explicit through a disabled database"
+    (Profdb.guide d ~fingerprint:"off" (Some explicit))
+    (Some explicit, None)
+
+(* ------------------------------------------------------------------ *)
 (* Corruption and versioning: everything degrades to a miss *)
 
 let test_malfunction_degrades_to_miss () =
@@ -269,9 +340,9 @@ let test_cached_auto_lookup_changes_partition () =
       (* one real run's telemetry, ingested under the program's
          fingerprint — exactly what `run --parallel --cache-dir` does *)
       let runtime_config =
-        { (Spt_runtime.Runtime.default_config ()) with oracle = false }
+        { (Spt_runtime.Runtime.default_config ~jobs:2 ()) with oracle = false }
       in
-      let pr = Pipeline.run_parallel ~config ~jobs:2 ~runtime_config feedback_src in
+      let pr = Pipeline.run_parallel ~config ~runtime_config feedback_src in
       let fresh = Store.empty () in
       Spt_feedback.Telemetry.record fresh pr.Pipeline.pr_spt
         pr.Pipeline.pr_runtime;
@@ -375,6 +446,14 @@ let suite =
       test_decay_is_monotone_to_zero;
     Alcotest.test_case "lookup: malfunction degrades to miss" `Quick
       test_malfunction_degrades_to_miss;
+    Alcotest.test_case "guide: an explicit store wins" `Quick
+      test_guide_explicit_wins;
+    Alcotest.test_case "guide: an empty entry does not guide" `Quick
+      test_guide_empty_entry;
+    Alcotest.test_case "guide: a warm entry guides" `Quick
+      test_guide_warm_entry;
+    Alcotest.test_case "guide: a disabled database never guides" `Quick
+      test_guide_disabled_db;
     Alcotest.test_case "bounds: max_entries evicts LRU" `Quick
       test_max_entries_evicts_lru;
     Alcotest.test_case "publish: replaces without merging" `Quick

@@ -807,7 +807,11 @@ let test_outcome_determinism () =
   check_oracle "determinism run 2" r2
 
 let test_run_parallel_measures () =
-  let pr = Pipeline.run_parallel ~config:Config.best ~jobs:2 stress_src in
+  let pr =
+    Pipeline.run_parallel ~config:Config.best
+      ~runtime_config:(Runtime.default_config ~jobs:2 ())
+      stress_src
+  in
   Alcotest.(check int) "jobs recorded" 2 pr.Pipeline.pr_jobs;
   Alcotest.(check bool) "speedup positive" true
     (pr.Pipeline.pr_measured_speedup > 0.0);

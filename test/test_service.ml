@@ -73,7 +73,7 @@ let test_fingerprint_config_sensitive () =
     = Cached.key_of ~config:Config.basic loop_src)
 
 let test_fingerprint_profile_sensitive () =
-  let module Store = Spt_feedback.Profile_store in
+  let module Store = Spt_profile.Profile_store in
   let bare = Cached.key_of ~config:Config.best loop_src in
   Alcotest.(check string)
     "an empty profile store keys as no store" bare
