@@ -1,47 +1,41 @@
 (** The experiment harness: regenerates every table and figure of the
     paper's evaluation (§8) on the ten synthetic SPEC2000Int-like
-    workloads, plus the ablation studies DESIGN.md calls out and a set
-    of Bechamel micro-benchmarks of the compiler itself.
+    workloads, plus the ablation studies DESIGN.md calls out.
 
     Run with: dune exec bench/main.exe
     (set SPT_BENCH_QUICK=1 for a reduced run: three workloads, no
-    microbenchmarks; SPT_BENCH_JSON overrides the machine-readable
-    summary path, default BENCH_results.json) *)
+    ablations; SPT_BENCH_JSON overrides the machine-readable summary
+    path, default BENCH_results.json next to dune-project).  The end to
+    end contract checks over these sections are [dune build @smoke]
+    (bench/smoke.ml). *)
 
 open Spt_driver
+open Scenarios
 module Tls = Spt_tlsim.Tls_machine
 
 let quick = Sys.getenv_opt "SPT_BENCH_QUICK" <> None
 
 (* the summary lands next to dune-project (the committed baseline lives
    there) wherever the harness is invoked from *)
-let repo_root () =
+let root =
   let rec up dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
+    if Sys.file_exists (Filename.concat dir "dune-project") then dir
     else
       let parent = Filename.dirname dir in
-      if parent = dir then None else up parent
+      if parent = dir then Sys.getcwd () else up parent
   in
   up (Sys.getcwd ())
 
 let json_path =
   match Sys.getenv_opt "SPT_BENCH_JSON" with
   | Some p -> p
-  | None ->
-    Filename.concat
-      (Option.value ~default:(Sys.getcwd ()) (repo_root ()))
-      "BENCH_results.json"
+  | None -> Filename.concat root "BENCH_results.json"
 
-(* SPT_BENCH_ONLY=profdb runs just the profile-database generations
-   scenario (what bench/profdb_smoke.sh consumes) — the full evaluation
-   takes minutes — grafting its section into an existing summary when
-   one is present. *)
-let bench_only = Sys.getenv_opt "SPT_BENCH_ONLY"
-let profdb_only = bench_only = Some "profdb"
-
-(* SPT_BENCH_ONLY=depth runs just the K-deep pipelining sweep (what
-   bench/depth_smoke.sh consumes), grafting its section like profdb. *)
-let depth_only = bench_only = Some "depth"
+(* the feedback demo workload (examples/src/feedback_loop.c) *)
+let feedback_loop_src () =
+  In_channel.with_open_bin
+    (Filename.concat root "examples/src/feedback_loop.c")
+    In_channel.input_all
 
 let workloads =
   if quick then
@@ -51,9 +45,6 @@ let workloads =
   else Spt_workloads.Suite.all
 
 let configs = [ Config.basic; Config.best; Config.anticipated ]
-
-let section title =
-  Printf.printf "\n%s\n%s\n%s\n\n" (String.make 72 '=') title (String.make 72 '=')
 
 (* ------------------------------------------------------------------ *)
 (* Evaluate everything once, reusing results across tables *)
@@ -87,22 +78,6 @@ let evaluate_all () =
    wall-clock speedup of the real multicore runtime (Spt_runtime).
    On a small container the measured number is usually < 1 -- domains
    contend for one core -- which is itself the point of reporting both. *)
-
-let parallel_jobs =
-  match Sys.getenv_opt "SPT_JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 2)
-  | None -> 2
-
-(* every bench run's runtime: [parallel_jobs] workers and no oracle —
-   the oracle re-runs the program sequentially, and each section checks
-   outputs its own way (evaluate_all already compared them) *)
-let runtime_config ?depth ?timeline () =
-  {
-    (Spt_runtime.Runtime.default_config ~jobs:parallel_jobs ()) with
-    oracle = false;
-    depth;
-    timeline;
-  }
 
 let measure_parallel best =
   section
@@ -177,19 +152,9 @@ let measure_parallel best =
 module Store = Spt_profile.Profile_store
 module Telemetry = Spt_feedback.Telemetry
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let feedback_comparison () =
   section "Feedback: static vs profile-guided misspeculation cost";
-  let demo =
-    let root = Option.value ~default:(Sys.getcwd ()) (repo_root ()) in
-    ( "feedback_loop",
-      read_file (Filename.concat root "examples/src/feedback_loop.c") )
-  in
+  let demo = ("feedback_loop", feedback_loop_src ()) in
   let cases =
     demo
     :: List.filter_map
@@ -310,250 +275,6 @@ let feedback_comparison () =
      observed: (violations+faults+kills)/iterations on the real runtime;\n\
      guided: the same prediction after feeding the telemetry back)";
   rows
-
-(* ------------------------------------------------------------------ *)
-(* Profile database: the repeated-workload scenario.  The same program
-   is run --parallel several times against a fresh database; each run
-   ingests its misspeculation telemetry, so from generation 2 on the
-   compile is guided by the accumulated entry and the misspeculation
-   cost drops — with zero client-side flags beyond the cache dir.
-   bench/profdb_smoke.sh asserts the non-increase in CI. *)
-
-let profdb_generations () =
-  section
-    (Printf.sprintf
-       "Profile database: misspeculation across generations (%d job(s))"
-       parallel_jobs);
-  let root = Option.value ~default:(Sys.getcwd ()) (repo_root ()) in
-  let src = read_file (Filename.concat root "examples/src/feedback_loop.c") in
-  let dir =
-    let base = Filename.temp_file "spt_bench_profdb" "" in
-    Sys.remove base;
-    Unix.mkdir base 0o755;
-    base
-  in
-  let db =
-    Spt_profdb.Profdb.create ~tool:Spt_service.Cached.tool_version
-      ~dir:(Spt_profdb.Profdb.subdir dir) ()
-  in
-  let fingerprint = Spt_service.Fingerprint.program (Pipeline.front_end src) in
-  let runtime_config = runtime_config () in
-  let t =
-    Spt_util.Table.create
-      ~aligns:
-        [
-          Spt_util.Table.Right; Spt_util.Table.Left; Spt_util.Table.Right;
-          Spt_util.Table.Right; Spt_util.Table.Right; Spt_util.Table.Right;
-        ]
-      [ "gen"; "guided"; "spt loops"; "misspec"; "cost"; "speedup" ]
-  in
-  let rows = ref [] in
-  let gens = 3 in
-  for gen = 1 to gens do
-    let profile, gen_in = Spt_profdb.Profdb.guide db ~fingerprint None in
-    let guided = gen_in <> None in
-    let pr = Pipeline.run_parallel ~runtime_config ?profile src in
-    let fresh = Store.empty () in
-    Telemetry.record fresh pr.Pipeline.pr_spt pr.Pipeline.pr_runtime;
-    ignore (Spt_profdb.Profdb.ingest db ~fingerprint fresh);
-    let module R = Spt_runtime.Runtime in
-    let events, cost =
-      List.fold_left
-        (fun (e, c) ((_, st) : int * R.loop_stats) ->
-          let bad = st.R.violations + st.R.faults + st.R.kills in
-          (e + bad, c + bad + st.R.serial_reexecs))
-        (0, 0) pr.Pipeline.pr_runtime.R.stats
-    in
-    Spt_util.Table.add_row t
-      [
-        string_of_int gen;
-        (if guided then "yes" else "no");
-        string_of_int pr.Pipeline.pr_n_loops;
-        string_of_int events;
-        string_of_int cost;
-        Printf.sprintf "%.2fx" pr.Pipeline.pr_measured_speedup;
-      ];
-    rows :=
-      Spt_obs.Json.Obj
-        [
-          ("generation", Spt_obs.Json.Int gen);
-          ("guided", Spt_obs.Json.Bool guided);
-          ("n_spt_loops", Spt_obs.Json.Int pr.Pipeline.pr_n_loops);
-          ("misspec_events", Spt_obs.Json.Int events);
-          ("misspec_cost", Spt_obs.Json.Int cost);
-          ("measured_speedup", Spt_obs.Json.Float pr.Pipeline.pr_measured_speedup);
-        ]
-      :: !rows
-  done;
-  Spt_util.Table.print t;
-  print_endline
-    "(same program, fresh database: generation 1 compiles unguided and\n\
-     misspeculates; every run ingests telemetry, so later generations\n\
-     compile against the accumulated profile with no client-side flags)";
-  Spt_obs.Json.Obj
-    [
-      ("schema", Spt_obs.Json.Str Spt_profdb.Profdb.schema);
-      ("workload", Spt_obs.Json.Str "feedback_loop");
-      ("jobs", Spt_obs.Json.Int parallel_jobs);
-      ("generations", Spt_obs.Json.List (List.rev !rows));
-      ("db", Spt_profdb.Profdb.stats_json db);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Speculation depth: the same pipeline-friendly program executed with
-   the in-flight window forced to 1 (the paper's main+1 model) and to
-   K > 1 chunks — K-deep DOACROSS pipelining with ordered commit.  The
-   accumulator workload rides along: its post-fork loop-carried sum
-   used to trip the despeculation valve; runtime value prediction must
-   now keep it speculative (despecs = 0).  bench/depth_smoke.sh
-   enforces both claims in CI: depth-4 throughput >= depth-1 and an
-   accumulator that never despeculates. *)
-
-(* independent iterations with a compute-dense, write-light body: the
-   workers do ~100x more work per chunk than the sequential thread
-   spends validating and committing it, so throughput is bounded by how
-   many chunks are in flight, not by the ordered-commit drain *)
-let depth_pipeline_src =
-  {|
-int n = 6000;
-int a[6000];
-int b[6000];
-void main() {
-  int i;
-  for (i = 0; i < n; i = i + 1) { a[i] = i * 7 + 3; }
-  for (i = 0; i < n; i = i + 1) {
-    int x = a[i];
-    int acc = 0;
-    int j;
-    for (j = 0; j < 48; j = j + 1) {
-      acc = acc + (((x + j) * (x - j)) & 255);
-    }
-    b[i] = acc;
-  }
-  print_int(b[0] + b[1234] + b[5999]);
-}
-|}
-
-(* a clean loop plus a loop carrying [s] through the post-fork region —
-   the pattern DESIGN.md 3f used to document as a known degradation *)
-let depth_accumulator_src =
-  {|
-int n = 20000;
-int a[20000];
-int b[20000];
-void main() {
-  int i;
-  for (i = 0; i < n; i = i + 1) { a[i] = i * 3 + 1; }
-  int s = 0;
-  for (i = 0; i < n; i = i + 1) {
-    int x = a[i];
-    int y = x * x + 7;
-    b[i] = y - (x & 31);
-    s = s + (y & 3);
-  }
-  print_int(s + b[0] + b[19999]);
-}
-|}
-
-let depth_sweep () =
-  section
-    (Printf.sprintf "Speculation depth: K-deep pipelining (%d job(s))"
-       parallel_jobs);
-  let module R = Spt_runtime.Runtime in
-  (* best of two runs per depth, to shave scheduler noise off the smoke
-     test's depth-4 >= depth-1 assertion *)
-  let run ?depth src =
-    let runtime_config = runtime_config ?depth () in
-    let once () = Pipeline.run_parallel ~runtime_config src in
-    let a = once () in
-    let b = once () in
-    if a.Pipeline.pr_runtime.R.wall_time <= b.Pipeline.pr_runtime.R.wall_time
-    then a
-    else b
-  in
-  let totals (pr : Pipeline.parallel_run) =
-    List.fold_left
-      (fun (c, k, v, d, (sp, sh, sm)) ((_, st) : int * R.loop_stats) ->
-        let p, h, m = R.svp_totals st in
-        ( c + st.R.commits,
-          k + st.R.kills,
-          v + st.R.violations,
-          d + st.R.despecs,
-          (sp + p, sh + h, sm + m) ))
-      (0, 0, 0, 0, (0, 0, 0))
-      pr.Pipeline.pr_runtime.R.stats
-  in
-  let t =
-    Spt_util.Table.create
-      ~aligns:
-        [
-          Spt_util.Table.Right; Spt_util.Table.Right; Spt_util.Table.Right;
-          Spt_util.Table.Right; Spt_util.Table.Right; Spt_util.Table.Right;
-          Spt_util.Table.Right;
-        ]
-      [ "depth"; "wall"; "speedup"; "commits"; "kills"; "violations"; "svp" ]
-  in
-  let rows =
-    List.map
-      (fun depth ->
-        let pr = run ~depth depth_pipeline_src in
-        let commits, kills, violations, despecs, svp = totals pr in
-        let predicts, hits, _ = svp in
-        Spt_util.Table.add_row t
-          [
-            string_of_int depth;
-            Printf.sprintf "%.3fs" pr.Pipeline.pr_runtime.R.wall_time;
-            Printf.sprintf "%.2fx" pr.Pipeline.pr_measured_speedup;
-            string_of_int commits;
-            string_of_int kills;
-            string_of_int violations;
-            Printf.sprintf "%d/%d" hits predicts;
-          ];
-        Report.depth_row ~depth ~wall_s:pr.Pipeline.pr_runtime.R.wall_time
-          ~speedup:pr.Pipeline.pr_measured_speedup ~commits ~kills ~violations
-          ~despecs ~svp)
-      [ 1; 2; 4 ]
-  in
-  Spt_util.Table.print t;
-  (* the accumulator runs at the cost model's depth: the claim is about
-     the default pipeline, not a hand-picked configuration *)
-  let acc = run depth_accumulator_src in
-  let _, _, _, despecs, (predicts, hits, _) = totals acc in
-  if despecs > 0 then
-    failwith
-      (Printf.sprintf
-         "accumulator workload despeculated (%d valve trip(s)): runtime \
-          value prediction regressed"
-         despecs);
-  Printf.printf
-    "\naccumulator workload: despecs %d, svp %d/%d hit(s) — the \n\
-     loop-carried sum stays speculative via runtime value prediction\n"
-    despecs hits predicts;
-  let accumulator =
-    Spt_obs.Json.Obj
-      [
-        ("workload", Spt_obs.Json.Str "accumulator");
-        ( "depth",
-          Spt_obs.Json.Int
-            (match acc.Pipeline.pr_runtime.R.stats with
-            | (_, st) :: _ -> st.R.depth
-            | [] -> 0) );
-        ("despecs", Spt_obs.Json.Int despecs);
-        ("svp_predicts", Spt_obs.Json.Int predicts);
-        ("svp_hits", Spt_obs.Json.Int hits);
-      ]
-  in
-  let cores = Domain.recommended_domain_count () in
-  let workers = R.workers_for parallel_jobs in
-  if cores <= workers then
-    Printf.printf
-      "(%d usable core(s) for %d worker(s) + the sequential thread: the \n\
-       deeper pipelines time-share one core, so the sweep measures \n\
-       K-deep overhead here, not speedup — depth_smoke.sh scales its \n\
-       assertion by the recorded core count)\n"
-      cores workers;
-  Report.depth_json ~workload:"depth_pipeline" ~jobs:parallel_jobs ~cores
-    ~accumulator rows
 
 (* ------------------------------------------------------------------ *)
 (* Ablation 1: cost-combination rules (Independent vs Per_seed vs Max) *)
@@ -718,120 +439,16 @@ let ablation_inlining () =
   Spt_util.Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler itself *)
-
-let microbench () =
-  section "Compiler micro-benchmarks (Bechamel)";
-  let src = (Spt_workloads.Suite.find "gzip").Spt_workloads.Suite.source in
-  let ast = Spt_srclang.Typecheck.parse_and_check src in
-  let eff, f, loop =
-    let prog = Pipeline.front_end src in
-    Pipeline.to_ssa prog;
-    let eff = Spt_depgraph.Effects.compute prog in
-    let f = Spt_ir.Ir.func_of_program prog "main" in
-    let loop =
-      List.hd
-        (List.filter
-           (fun (l : Spt_ir.Loops.loop) ->
-             Spt_ir.Loops.Iset.cardinal l.Spt_ir.Loops.body > 3)
-           (Spt_ir.Loops.find f))
-    in
-    (eff, f, loop)
-  in
-  let graph = Spt_depgraph.Depgraph.build eff f loop in
-  let cm = Spt_cost.Cost_model.build graph in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"spt"
-      [
-        Test.make ~name:"parse+typecheck"
-          (Staged.stage (fun () -> Spt_srclang.Typecheck.parse_and_check src));
-        Test.make ~name:"lower"
-          (Staged.stage (fun () -> Spt_ir.Lower.lower_program ast));
-        Test.make ~name:"ssa-construct+optimize"
-          (Staged.stage (fun () ->
-               let prog = Spt_ir.Lower.lower_program ast in
-               Pipeline.to_ssa prog));
-        Test.make ~name:"depgraph-build"
-          (Staged.stage (fun () -> Spt_depgraph.Depgraph.build eff f loop));
-        Test.make ~name:"cost-model-eval"
-          (Staged.stage (fun () ->
-               Spt_cost.Cost_model.misspeculation_cost cm
-                 ~prefork:Spt_cost.Cost_model.Iset.empty));
-        Test.make ~name:"partition-search"
-          (Staged.stage (fun () -> Spt_partition.Partition.search cm graph));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Spt_util.Table.create
-      ~aligns:[ Spt_util.Table.Left; Spt_util.Table.Right ]
-      [ "phase"; "time/run" ]
-  in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ e ] -> Printf.sprintf "%.1f us" (e /. 1000.0)
-        | _ -> "-"
-      in
-      Spt_util.Table.add_row t [ name; est ])
-    results;
-  Spt_util.Table.print t
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   (* the counter dump in the JSON summary needs the registry live *)
   Spt_obs.Metrics.set_enabled true;
-  if profdb_only then begin
-    let profdb = profdb_generations () in
-    (* graft the section into an existing summary (the committed
-       baseline keeps its other sections); fresh summary otherwise *)
-    let summary =
-      match
-        if Sys.file_exists json_path then
-          Spt_obs.Json.of_string (read_file json_path)
-        else Error "absent"
-      with
-      | Ok (Spt_obs.Json.Obj _ as j) -> Spt_obs.Json.set ("profdb", profdb) j
-      | Ok _ | Error _ ->
-        Report.bench_json ~quick:true ~profdb ~per_config:[] ~parallel:[] ()
-    in
-    Spt_obs.Json.to_file json_path summary;
-    Printf.printf "\nmachine-readable summary written to %s\n" json_path;
-    exit 0
-  end;
-  if depth_only then begin
-    let depth = depth_sweep () in
-    (* same grafting contract as profdb: keep the committed baseline's
-       other sections when one is present *)
-    let summary =
-      match
-        if Sys.file_exists json_path then
-          Spt_obs.Json.of_string (read_file json_path)
-        else Error "absent"
-      with
-      | Ok (Spt_obs.Json.Obj _ as j) -> Spt_obs.Json.set ("depth", depth) j
-      | Ok _ | Error _ ->
-        Report.bench_json ~quick:true ~depth ~per_config:[] ~parallel:[] ()
-    in
-    Spt_obs.Json.to_file json_path summary;
-    Printf.printf "\nmachine-readable summary written to %s\n" json_path;
-    exit 0
-  end;
   section "Evaluating the workloads under 3 compiler configurations";
   let per_config = evaluate_all () in
   let best = List.assoc "best" per_config in
   let parallel, gap = measure_parallel best in
   let feedback = feedback_comparison () in
-  let profdb = profdb_generations () in
+  let profdb = profdb_generations ~src:(feedback_loop_src ()) () in
   let depth = depth_sweep () in
 
   (* machine-readable summary next to the text tables, one entry per
@@ -866,7 +483,6 @@ let () =
   if not quick then begin
     ablation_inlining ();
     ablation_cost_rules ();
-    ablation_pruning ();
-    microbench ()
+    ablation_pruning ()
   end;
   section "Done"

@@ -364,11 +364,12 @@ let run_cmd =
           Option.iter
             (fun path ->
               let tl = Option.get timeline in
-              (* the TLS simulator's predicted speedup for the same
-                 config, so the report can state the gap *)
+              (* the TLS simulator's predicted speedup for the build
+                 that ran, so the report can state the gap *)
               let predicted =
-                let e = Spt_driver.Pipeline.evaluate ~config ?profile src in
-                e.Spt_driver.Pipeline.speedup
+                (Spt_driver.Pipeline.simulate ~config src
+                   pr.Spt_driver.Pipeline.pr_spt)
+                  .Spt_driver.Pipeline.speedup
               in
               Json.to_file path
                 (Spt_driver.Report.attrib_json ~predicted

@@ -879,7 +879,10 @@ let compile_spt ?profile ?(divergence = default_divergence_threshold)
 (* ------------------------------------------------------------------ *)
 (* Evaluation: SPT build vs the non-SPT baseline *)
 
-let evaluate ?(config = Config.best) ?profile ?divergence src : eval =
+(* [spt] is forced once the baseline is built and simulated, so a
+   cold [evaluate] traces compile.base, simulate.base, the SPT compile
+   and simulate.spt in that order *)
+let simulate_against_base ~config src (spt : spt_compilation Lazy.t) : eval =
   let base_prog =
     Obs.Trace.span "compile.base" (fun () ->
         compile_base ~unroll:config.Config.unroll ~inline:config.Config.inline
@@ -889,7 +892,7 @@ let evaluate ?(config = Config.best) ?profile ?divergence src : eval =
     Obs.Trace.span "simulate.base" (fun () ->
         Tls_machine.run ~config:config.Config.sim base_prog)
   in
-  let spt = compile_spt ?profile ?divergence config src in
+  let spt = Lazy.force spt in
   let spt_res =
     Obs.Trace.span "simulate.spt" (fun () ->
         Tls_machine.run ~config:config.Config.sim ~spt_loops:spt.spt_loops
@@ -910,6 +913,13 @@ let evaluate ?(config = Config.best) ?profile ?divergence src : eval =
     outputs_match = String.equal base.Tls_machine.output spt_res.Tls_machine.output;
     n_spt_loops = List.length spt.spt_loops;
   }
+
+let evaluate ?(config = Config.best) ?profile ?divergence src =
+  simulate_against_base ~config src
+    (lazy (compile_spt ?profile ?divergence config src))
+
+let simulate ?(config = Config.best) src spt =
+  simulate_against_base ~config src (Lazy.from_val spt)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel execution on the speculative runtime *)

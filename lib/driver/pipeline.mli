@@ -126,6 +126,11 @@ val evaluate :
   string ->
   eval
 
+(** {!evaluate} of an SPT compilation already in hand ([config] and the
+    source it was compiled from): builds and simulates the baseline,
+    simulates the given build, compares. *)
+val simulate : ?config:Config.t -> string -> spt_compilation -> eval
+
 (** An SPT compilation executed for real on the speculative runtime
     ({!Spt_runtime.Runtime}), next to a sequential run of the same
     program for the measured (wall-clock) speedup. *)

@@ -581,15 +581,17 @@ let bench_json ?(feedback = []) ?(gap = []) ?depth ?profdb ~quick ~per_config
     @ [ ("feedback", Json.List feedback) ])
 
 (** One row of the bench's depth sweep ([spt-depth-v1]): one forced
-    speculation depth, its wall time and speedup, and the runtime's
-    misspeculation and value-prediction counters at that depth. *)
-let depth_row ~depth ~wall_s ~speedup ~commits ~kills ~violations ~despecs
-    ~svp =
+    speculation depth, its median wall time and the spread around it,
+    and the speedup and the runtime's misspeculation and
+    value-prediction counters of the median run. *)
+let depth_row ~depth ~wall_s ~wall_iqr_s ~speedup ~commits ~kills
+    ~violations ~despecs ~svp =
   let predicts, hits, mispredicts = svp in
   Json.Obj
     [
       ("depth", Json.Int depth);
       ("wall_s", Json.Float wall_s);
+      ("wall_iqr_s", Json.Float wall_iqr_s);
       ("speedup", Json.Float speedup);
       ("commits", Json.Int commits);
       ("kills", Json.Int kills);
@@ -605,15 +607,16 @@ let depth_row ~depth ~wall_s ~speedup ~commits ~kills ~violations ~despecs
     stay speculative through runtime value prediction).  [cores] is the
     machine's usable core count — on a box with fewer cores than
     domains, a deeper pipeline measures its own overhead rather than a
-    speedup, and consumers (bench/depth_smoke.sh) scale their
-    assertions by this field. *)
-let depth_json ~workload ~jobs ~cores ?accumulator rows =
+    speedup, and consumers (the smoke check, [dune build @smoke]) scale
+    their assertions by this field. *)
+let depth_json ~workload ~jobs ~cores ~rounds ?accumulator rows =
   Json.Obj
     ([
        ("schema", Json.Str "spt-depth-v1");
        ("workload", Json.Str workload);
        ("jobs", Json.Int jobs);
        ("cores", Json.Int cores);
+       ("rounds", Json.Int rounds);
        ("rows", Json.List rows);
      ]
     @ match accumulator with Some a -> [ ("accumulator", a) ] | None -> [])
@@ -1059,21 +1062,24 @@ let top_depth j =
   (match Json.member "rows" j with
   | Some (Json.List rows) when rows <> [] ->
     Buffer.add_string buf
-      (Printf.sprintf "depth sweep (workload %s, %d job(s)%s)\n"
+      (Printf.sprintf "depth sweep (workload %s, %d job(s)%s%s)\n"
          (str_of (Json.member "workload" j))
          (int_of_float (num0 (Json.member "jobs" j)))
          (match Json.member "cores" j with
          | Some (Json.Int c) -> Printf.sprintf ", %d core(s)" c
+         | _ -> "")
+         (match Json.member "rounds" j with
+         | Some (Json.Int n) -> Printf.sprintf ", median of %d round(s)" n
          | _ -> ""));
     let t =
       Table.create
         ~aligns:
           [
             Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-            Table.Right; Table.Right;
+            Table.Right; Table.Right; Table.Right;
           ]
-        [ "depth"; "wall"; "speedup"; "commits"; "kills"; "violations";
-          "svp hit" ]
+        [ "depth"; "wall"; "iqr"; "speedup"; "commits"; "kills";
+          "violations"; "svp hit" ]
     in
     List.iter
       (fun r ->
@@ -1084,6 +1090,9 @@ let top_depth j =
           [
             string_of_int (inti "depth");
             fmt_s (num0 (Json.member "wall_s" r));
+            (match num (Json.member "wall_iqr_s" r) with
+            | Some q -> fmt_s q
+            | None -> "-");
             Printf.sprintf "%.2fx" (num0 (Json.member "speedup" r));
             string_of_int (inti "commits");
             string_of_int (inti "kills");

@@ -104,12 +104,15 @@ val bench_json :
   Spt_obs.Json.t
 
 (** One row of the bench [depth] section: the same workload run with
-    this speculation depth forced, with wall time, speedup over the
-    sequential reference, and the runtime's misspeculation and
-    value-prediction counters ([svp] = predicts, hits, mispredicts). *)
+    this speculation depth forced, over several rounds — the median
+    wall time [wall_s] and its interquartile range [wall_iqr_s], and
+    the median run's speedup over the sequential reference and its
+    runtime misspeculation and value-prediction counters ([svp] =
+    predicts, hits, mispredicts). *)
 val depth_row :
   depth:int ->
   wall_s:float ->
+  wall_iqr_s:float ->
   speedup:float ->
   commits:int ->
   kills:int ->
@@ -124,11 +127,13 @@ val depth_row :
     [workload], [depth], [despecs], [svp_predicts], [svp_hits]).
     [cores] records the usable core count so consumers can tell a
     measured pipelining speedup (cores > jobs) from measured pipelining
-    overhead (a core-starved box). *)
+    overhead (a core-starved box); [rounds] is how many runs per depth
+    each row's median is taken over. *)
 val depth_json :
   workload:string ->
   jobs:int ->
   cores:int ->
+  rounds:int ->
   ?accumulator:Spt_obs.Json.t ->
   Spt_obs.Json.t list ->
   Spt_obs.Json.t

@@ -20,13 +20,6 @@ let mutex_for path =
   Mutex.unlock registry_mu;
   m
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
 type t = { mu : Mutex.t; fd : Unix.file_descr; mutable held : bool }
 
 let poll_interval_s = 0.002
@@ -51,7 +44,7 @@ let acquire ?(timeout_s = 10.0) path =
   else begin
     (* layer 2: cross-process, an exclusive region on the lock file *)
     match
-      mkdir_p (Filename.dirname path);
+      Spt_obs.Disk.mkdir_p (Filename.dirname path);
       Unix.openfile path [ Unix.O_CREAT; Unix.O_WRONLY; Unix.O_CLOEXEC ] 0o644
     with
     | exception _ ->

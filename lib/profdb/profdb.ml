@@ -70,49 +70,13 @@ let counted t f =
 (* ------------------------------------------------------------------ *)
 (* Disk layer *)
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
+open Spt_obs.Disk
 
-(* fingerprints are hex digests, but the key is data, never a path
-   component we trust *)
-let safe_key key =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_')
-    key
-
+(* fingerprints are hex digests, but sanitized like any store key *)
 let entry_file dir fingerprint =
   Filename.concat dir (safe_key fingerprint ^ ".json")
 
 let lock_file dir = Filename.concat dir "lock"
-
-let tmp_seq = Atomic.make 0
-
-let atomic_write path text =
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc text;
-     output_char oc '\n';
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let entry_json ~fingerprint ~tool ~generation ~updated store =
   Json.Obj

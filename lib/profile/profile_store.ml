@@ -435,7 +435,7 @@ let of_json j =
 let digest t =
   Digest.to_hex (Digest.string (Json.to_string ~minify:true (to_json t)))
 
-let save t path = Json.to_file path (to_json t)
+let save t path = Spt_obs.Disk.atomic_write path (Json.to_string (to_json t))
 
 let load path =
   if not (Sys.file_exists path) then empty ()

@@ -96,8 +96,10 @@ val of_json : Spt_obs.Json.t -> (t, string) result
 (** MD5 over the canonical minified JSON: equal iff the counts are. *)
 val digest : t -> string
 
-(** Write the canonical rendering; [save]/[load]/[save] round-trips
-    byte-identically. *)
+(** Write the canonical rendering, write-temp-then-rename
+    ({!Spt_obs.Disk.atomic_write}): an interrupted save leaves the
+    previous file, never a truncated one.  [save]/[load]/[save]
+    round-trips byte-identically. *)
 val save : t -> string -> unit
 
 (** Read a store back; any malfunction degrades to {!empty}. *)

@@ -94,20 +94,10 @@ let locked t f =
 (* ------------------------------------------------------------------ *)
 (* Disk layer *)
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
-(* keys are hex digests, but sanitize anyway: the key is data, never a
-   path component we trust *)
-let safe_key key =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_')
-    key
+(* every on-disk write in this module is write-temp-then-rename
+   ([atomic_write]), so a reader never sees a half-written file; keys
+   are hex digests, but sanitized anyway ([safe_key]) *)
+open Spt_obs.Disk
 
 (* shard fan-out: the key's leading hex byte modulo the shard count, so
    a given key lands in the same shard directory in every process *)
@@ -142,31 +132,6 @@ let file_of t key =
 let file_path = file_of
 let index_path t = Option.map (fun r -> Filename.concat r "index.json") t
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let tmp_seq = Atomic.make 0
-
-(* every on-disk write in this module is write-temp-then-rename, so a
-   reader never sees a half-written file *)
-let atomic_write path text =
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc text;
-     output_char oc '\n';
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
 
 (* content digest over the canonical minified payload rendering: stored
    next to the payload and recomputed on load, so silent corruption that

@@ -2,15 +2,7 @@
     1 = compile or run error.  Exercises the installed [sptc] binary
     (a declared test dependency, see [test/dune]). *)
 
-(* cwd is _build/default/test under [dune runtest], the workspace root
-   under [dune exec test/test_main.exe] *)
-let sptc =
-  let candidates =
-    [ "../bin/sptc.exe"; "_build/default/bin/sptc.exe"; "bin/sptc.exe" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> "../bin/sptc.exe"
+let sptc = Fixture.sptc ()
 
 let exec args =
   Sys.command (Filename.quote_command sptc args ^ " >/dev/null 2>&1")
@@ -485,6 +477,8 @@ let test_fuzz_exit_codes () =
     (exec [ "fuzz"; "--count"; "1"; "--matrix"; "seq,warp" ]);
   Alcotest.(check int) "unknown fault exits 1" 1
     (exec [ "fuzz"; "--count"; "1"; "--inject"; "no-such-fault" ]);
+  Alcotest.(check int) "clean corpus replay exits 0" 0
+    (exec [ "fuzz"; "--replay"; Fixture.path "test/corpus" ]);
   Alcotest.(check int) "replay of missing dir exits 1" 1
     (exec [ "fuzz"; "--replay"; "/nonexistent-corpus-dir" ])
 

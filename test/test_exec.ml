@@ -225,26 +225,8 @@ void main() { print_int(f(9)); }
 (* ------------------------------------------------------------------ *)
 (* The segment protocol *)
 
-(* cwd is _build/default/test under [dune runtest], the workspace root
-   under [dune exec test/test_main.exe] *)
 let sources () =
-  let dir candidates =
-    match List.find_opt Sys.file_exists candidates with
-    | Some d -> d
-    | None -> List.hd candidates
-  in
-  List.concat_map
-    (fun d ->
-      Sys.readdir d |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".c")
-      |> List.sort compare
-      |> List.map (fun f ->
-             let path = Filename.concat d f in
-             (path, In_channel.with_open_bin path In_channel.input_all)))
-    [
-      dir [ "../examples/src"; "examples/src" ];
-      dir [ "corpus"; "test/corpus" ];
-    ]
+  Fixture.sources "examples/src" @ Fixture.sources "test/corpus"
 
 (* the SPT program and the loops the runtime registers for it *)
 let spt_compile src =

@@ -80,7 +80,7 @@ void main() {
 
 (* the committed demo workload: static selection, observed
    misspeculation well above the predicted rate *)
-let feedback_src = read_file "../examples/src/feedback_loop.c"
+let feedback_src () = Fixture.read "examples/src/feedback_loop.c"
 
 (* a store holding real profile counts for [src] *)
 let profiled_store src =
@@ -247,7 +247,7 @@ let test_runtime_export () =
   let pr =
     Pipeline.run_parallel
       ~runtime_config:(Spt_runtime.Runtime.default_config ~jobs:2 ())
-      feedback_src
+      (feedback_src ())
   in
   let s = Store.empty () in
   Telemetry.record s pr.Pipeline.pr_spt pr.Pipeline.pr_runtime;
@@ -271,7 +271,7 @@ let test_runtime_export () =
 (* The adaptive loop end-to-end *)
 
 let test_adapt_rejects_mispredicted_loop () =
-  let o = Adapt.run ~jobs:2 ~iters:4 feedback_src in
+  let o = Adapt.run ~jobs:2 ~iters:4 (feedback_src ()) in
   let first = List.hd o.Adapt.iterations in
   let last = List.nth o.Adapt.iterations (List.length o.Adapt.iterations - 1) in
   Alcotest.(check bool)

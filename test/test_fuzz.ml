@@ -10,13 +10,6 @@ module Shrink = Spt_fuzz.Shrink
 module Harness = Spt_fuzz.Harness
 module Json = Spt_obs.Json
 
-(* cwd is _build/default/test under [dune runtest], the workspace root
-   under [dune exec test/test_main.exe] *)
-let corpus_dir =
-  match List.find_opt Sys.file_exists [ "corpus"; "test/corpus" ] with
-  | Some d -> d
-  | None -> "corpus"
-
 (* ------------------------------------------------------------------ *)
 (* Generator *)
 
@@ -122,8 +115,8 @@ let test_injected_fault_caught_and_shrunk () =
     (match x.Harness.cr_reproduce with
     | None -> Alcotest.fail "no reproduce line"
     | Some line ->
-      Alcotest.(check bool) "reproduce names the fuzz subcommand" true
-        (String.length line > 9 && String.sub line 0 9 = "sptc fuzz"))
+      Alcotest.(check bool) "reproduce names the failing case" true
+        (String.starts_with ~prefix:"sptc fuzz --seed 42 --index 0" line))
   | _ -> Alcotest.fail "expected exactly one case"
 
 let test_shrinker_minimizes () =
@@ -170,7 +163,7 @@ let test_corpus_replay () =
   (* every corpus file — interesting speculation-heavy cases plus the
      shrunk reproducers of previously-fixed compiler bugs — must stay
      clean across the full matrix *)
-  let c = Harness.replay_corpus ~dir:corpus_dir () in
+  let c = Harness.replay_corpus ~dir:(Fixture.path "test/corpus") () in
   Alcotest.(check bool) "corpus is non-empty" true
     (List.length c.Harness.c_cases > 0);
   Alcotest.(check int) "corpus replays clean" 0 c.Harness.c_divergent;

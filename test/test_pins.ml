@@ -214,15 +214,10 @@ let gen_pins =
 let gen_source k =
   Spt_fuzz.Gen.(to_source (generate ~seed:(case_seed ~seed:0xC01D ~index:k) ()))
 
-(* cwd is _build/default/test under [dune runtest], the workspace root
-   under [dune exec test/test_main.exe] *)
-let root = if Sys.file_exists "../examples/src" then ".." else "."
-
 let source name =
   match Spt_workloads.Suite.find name with
   | w -> w.Spt_workloads.Suite.source
-  | exception Invalid_argument _ ->
-    In_channel.with_open_bin (Filename.concat root name) In_channel.input_all
+  | exception Invalid_argument _ -> Fixture.read name
 
 let test_pins () =
   List.iter
@@ -269,7 +264,7 @@ let test_every_program_pinned () =
   (* a new example or corpus program needs a pin under every preset *)
   List.iter
     (fun dir ->
-      Sys.readdir (Filename.concat root dir)
+      Sys.readdir (Fixture.path dir)
       |> Array.iter (fun f ->
              if Filename.check_suffix f ".c" then begin
                let name = dir ^ "/" ^ f in

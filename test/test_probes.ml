@@ -13,23 +13,8 @@ module Dep_profile = Spt_profile.Dep_profile
 module Value_profile = Spt_profile.Value_profile
 module Gen = Spt_fuzz.Gen
 
-(* cwd is _build/default/test under [dune runtest], the workspace root
-   under [dune exec test/test_main.exe] *)
-let dir_of candidates =
-  match List.find_opt Sys.file_exists candidates with
-  | Some d -> d
-  | None -> List.hd candidates
-
-let sources dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".c")
-  |> List.sort compare
-  |> List.map (fun f ->
-         let path = Filename.concat dir f in
-         (path, In_channel.with_open_bin path In_channel.input_all))
-
-let examples () = sources (dir_of [ "../examples/src"; "examples/src" ])
-let corpus () = sources (dir_of [ "corpus"; "test/corpus" ])
+let examples () = Fixture.sources "examples/src"
+let corpus () = Fixture.sources "test/corpus"
 
 let suite_sources () =
   List.map

@@ -321,14 +321,13 @@ let test_publish_replaces_without_merge () =
 (* ------------------------------------------------------------------ *)
 (* Auto-lookup: warm fingerprints change the compile with zero flags *)
 
-let feedback_src = read_file "../examples/src/feedback_loop.c"
-
 let n_spt_loops_of (o : Cached.outcome) =
   match Json.member "n_spt_loops" o.Cached.eval with
   | Some (Json.Int n) -> n
   | _ -> Alcotest.fail "outcome eval lacks n_spt_loops"
 
 let test_cached_auto_lookup_changes_partition () =
+  let feedback_src = Fixture.read "examples/src/feedback_loop.c" in
   with_tmpdir (fun dir ->
       let cache = Cache.create ~dir () in
       let config = Spt_driver.Config.best in
