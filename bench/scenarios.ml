@@ -47,7 +47,7 @@ let profdb_generations ~src () =
     Spt_profdb.Profdb.create ~tool:Spt_service.Cached.tool_version
       ~dir:(Spt_profdb.Profdb.subdir dir) ()
   in
-  let fingerprint = Spt_service.Fingerprint.program (Pipeline.front_end src) in
+  let fingerprint = Spt_service.Fingerprint.source src in
   let runtime_config = runtime_config () in
   let generation gen =
     let profile, gen_in = Spt_profdb.Profdb.guide db ~fingerprint None in

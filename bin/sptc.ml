@@ -334,9 +334,7 @@ let run_cmd =
           let db = Spt_profdb.Profdb.for_cache ~tool:version cache_dir in
           let fingerprint =
             if Spt_profdb.Profdb.enabled db then
-              Some
-                (Spt_service.Fingerprint.program
-                   (Spt_driver.Pipeline.front_end src))
+              Some (Spt_service.Fingerprint.source src)
             else None
           in
           (* an explicit --profile-in always wins; otherwise the profile
@@ -1184,9 +1182,7 @@ let adapt_cmd =
         let db = Spt_profdb.Profdb.for_cache ~tool:version cache_dir in
         let fingerprint =
           if Spt_profdb.Profdb.enabled db then
-            Some
-              (Spt_service.Fingerprint.program
-                 (Spt_driver.Pipeline.front_end src))
+            Some (Spt_service.Fingerprint.source src)
           else None
         in
         let store = Option.map Profile_store.load store_path in

@@ -282,28 +282,37 @@ let with_tmp_dir f =
     (fun () -> f dir)
 
 let cache_point ~config src =
+  let module C = Spt_service.Cached in
   let point = string_of_point P_cache in
   let d kind detail = { d_point = point; d_kind = kind; d_detail = detail } in
   try
     with_tmp_dir (fun dir ->
         let cache = Spt_service.Artifact_cache.create ~dir () in
-        let cold = Spt_service.Cached.compile ~cache ~config ~name:"<fuzz>" src in
-        let warm = Spt_service.Cached.compile ~cache ~config ~name:"<fuzz>" src in
-        List.concat
+        let compile src = C.compile ~cache ~config ~name:"<fuzz>" src in
+        let eval_text (o : C.outcome) = Json.to_string ~minify:true o.C.eval in
+        let cold = compile src in
+        (* identical text is answered by the source-digest memo; text
+           that differs but lowers the same goes through the front end
+           to the same key *)
+        let identical = compile src in
+        let commented = compile ("// cache point\n" ^ src) in
+        List.concat_map
+          (fun (what, (warm : C.outcome)) ->
+            let diverged kind msg =
+              [ d kind (Printf.sprintf "warm compile of %s: %s" what msg) ]
+            in
+            List.concat
+              [
+                (if warm.C.hit && String.equal warm.C.key cold.C.key then []
+                 else diverged "cache-miss" "missed the cold compile's entry");
+                (if String.equal cold.C.report_text warm.C.report_text then []
+                 else diverged "cache-replay" "report text differs from cold");
+                (if String.equal (eval_text cold) (eval_text warm) then []
+                 else diverged "cache-replay" "eval payload differs from cold");
+              ])
           [
-            (if warm.Spt_service.Cached.hit then []
-             else [ d "cache-miss" "second compile of identical source missed" ]);
-            (if
-               String.equal cold.Spt_service.Cached.report_text
-                 warm.Spt_service.Cached.report_text
-             then []
-             else [ d "cache-replay" "warm report text differs from cold" ]);
-            (if
-               String.equal
-                 (Json.to_string ~minify:true cold.Spt_service.Cached.eval)
-                 (Json.to_string ~minify:true warm.Spt_service.Cached.eval)
-             then []
-             else [ d "cache-replay" "warm eval payload differs from cold" ]);
+            ("identical source", identical);
+            ("source with a comment prepended", commented);
           ])
   with e -> [ d "error" (Printexc.to_string e) ]
 

@@ -21,9 +21,11 @@
       speculation depth forced to 1, 2 and 4 in-flight epochs,
       exercising the ordered-commit queue, the kill cascade and the
       runtime value predictor at each depth.
-    - [cache] — a cold then warm {!Spt_service.Cached.compile} through
-      a throwaway on-disk cache: the warm request must hit and replay
-      the report byte-identically.
+    - [cache] — a cold {!Spt_service.Cached.compile} through a
+      throwaway on-disk cache, then two warm ones: of the identical
+      text and of the text with a comment line prepended.  Each warm
+      request must hit the cold request's key and replay the report
+      and eval byte-identically.
     - [feedback] — runtime telemetry of the jobs-2 run recorded into a
       {!Spt_profile.Profile_store} ({!Spt_feedback.Telemetry.record})
       and fed back as the profile of a guided recompile, which must

@@ -35,8 +35,7 @@ let key_of_digest ~config ?profile digest =
     digest
 
 let key_of ~config ?profile source =
-  key_of_digest ~config ?profile
-    (Fingerprint.program (Pipeline.front_end source))
+  key_of_digest ~config ?profile (Fingerprint.source source)
 
 (* the per-loop artifacts of pass 1/2: what the partition search chose
    and what selection decided, one record per analyzed loop *)
@@ -68,8 +67,7 @@ let partition_artifacts (e : Pipeline.eval) =
 let compile ~cache ~config ?profile ?profdb ~name source =
   let t0 = Unix.gettimeofday () in
   Spt_obs.Metrics.inc m_compiles;
-  let prog = Pipeline.front_end source in
-  let digest = Fingerprint.program prog in
+  let digest = Fingerprint.source source in
   (* profile resolution: an explicit store always wins; with none, the
      profile database under the cache dir is consulted by the
      config-independent program fingerprint, so warm traffic gets

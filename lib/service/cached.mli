@@ -2,7 +2,9 @@
     ([sptc compile]/[batch]/[serve]) goes through.
 
     The cache key is {!Fingerprint.key} over the lowered IR of the
-    source (so whitespace/comment edits still hit) plus the full
+    source (so whitespace/comment edits still hit), its digest taken
+    through the source memo {!Fingerprint.source} (so a text seen before
+    skips the front end), plus the full
     {!Spt_driver.Config.cache_key} and {!tool_version} (so a knob
     change or a compiler upgrade misses).  The cached payload carries
     everything a warm request must replay byte-identically: the

@@ -13,10 +13,124 @@ let schema = "spt-fp-v1"
    unreachable blocks do not contribute at all).  Instruction ids are
    omitted for the same reason; virtual-register ids are kept — they
    are semantic (they name the dataflow), and lowering allocates them
-   deterministically from the AST. *)
+   deterministically from the AST.
 
-let add_operand buf (op : Ir.operand) =
-  Buffer.add_string buf (Format.asprintf "%a" Ir.pp_operand op)
+   The text is written straight into the buffer by the renderers below
+   rather than through the IR's debug printers ([Ir.pp_operand],
+   [Ir_pretty]): it is part of every cache key under [schema], so an
+   edit to a debug printer must not move it. *)
+
+let add_int buf n = Buffer.add_string buf (string_of_int n)
+
+let add_var buf (v : Ir.var) =
+  Buffer.add_char buf '%';
+  Buffer.add_string buf v.Ir.vname;
+  Buffer.add_char buf '.';
+  add_int buf v.Ir.vid
+
+let add_operand buf = function
+  | Ir.Reg v -> add_var buf v
+  | Ir.Imm_i n -> Buffer.add_string buf (Int64.to_string n)
+  | Ir.Imm_f f -> Buffer.add_string buf (Printf.sprintf "%h" f)
+
+let add_region buf = function
+  | Ir.Rsym s ->
+    Buffer.add_char buf '@';
+    Buffer.add_string buf s.Ir.sname
+  | Ir.Rparam (i, name) ->
+    Buffer.add_string buf "@param";
+    add_int buf i;
+    Buffer.add_char buf ':';
+    Buffer.add_string buf name
+
+let add_ty buf ty = Buffer.add_string buf (Ir.string_of_ty ty)
+
+let add_def buf v =
+  add_var buf v;
+  Buffer.add_string buf " := "
+
+let add_arg buf = function
+  | Ir.Aop o -> add_operand buf o
+  | Ir.Aarr r -> add_region buf r
+
+(* one instruction, without its id; phi arms carry predecessor block
+   ids, so they are remapped and sorted to keep the text canonical *)
+let add_kind buf ~remap = function
+  | Ir.Move (d, o) ->
+    add_def buf d;
+    add_operand buf o
+  | Ir.Unop (d, op, o) ->
+    add_def buf d;
+    Buffer.add_string buf (Ir.string_of_unop op);
+    Buffer.add_char buf ' ';
+    add_operand buf o
+  | Ir.Binop (d, op, a, b) ->
+    add_def buf d;
+    Buffer.add_string buf (Ir.string_of_binop op);
+    Buffer.add_char buf ' ';
+    add_operand buf a;
+    Buffer.add_string buf ", ";
+    add_operand buf b
+  | Ir.Load (d, r, idx) ->
+    add_def buf d;
+    Buffer.add_string buf "load ";
+    add_region buf r;
+    Buffer.add_char buf '[';
+    add_operand buf idx;
+    Buffer.add_char buf ']'
+  | Ir.Store (r, idx, src) ->
+    Buffer.add_string buf "store ";
+    add_region buf r;
+    Buffer.add_char buf '[';
+    add_operand buf idx;
+    Buffer.add_string buf "] := ";
+    add_operand buf src
+  | Ir.Call (d, callee, args) ->
+    Option.iter (add_def buf) d;
+    Buffer.add_string buf "call ";
+    Buffer.add_string buf callee;
+    Buffer.add_char buf '(';
+    List.iteri
+      (fun k a ->
+        if k > 0 then Buffer.add_string buf ", ";
+        add_arg buf a)
+      args;
+    Buffer.add_char buf ')'
+  | Ir.Phi (v, incoming) ->
+    Buffer.add_string buf "phi ";
+    add_var buf v;
+    Buffer.add_string buf " <-";
+    List.iter
+      (fun (pred, op) ->
+        Buffer.add_string buf " b";
+        add_int buf pred;
+        Buffer.add_char buf ':';
+        add_operand buf op)
+      (List.sort compare
+         (List.map (fun (pred, op) -> (remap pred, op)) incoming))
+  | Ir.Spt_fork l ->
+    Buffer.add_string buf "spt_fork loop";
+    add_int buf l
+  | Ir.Spt_kill l ->
+    Buffer.add_string buf "spt_kill loop";
+    add_int buf l
+
+let add_param buf = function
+  | Ir.Pscalar v ->
+    add_var buf v;
+    Buffer.add_string buf ": ";
+    add_ty buf v.Ir.vty
+  | Ir.Parray (slot, name, ty) ->
+    Buffer.add_string buf name;
+    Buffer.add_string buf ": ";
+    add_ty buf ty;
+    Buffer.add_string buf "[] (slot ";
+    add_int buf slot;
+    Buffer.add_char buf ')'
+
+let add_block_ref buf bid =
+  Buffer.add_char buf 'b';
+  add_int buf bid
 
 let add_func buf (f : Ir.func) =
   let order = ref [] in
@@ -42,16 +156,17 @@ let add_func buf (f : Ir.func) =
   List.iter
     (fun p ->
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (Format.asprintf "%a" Ir_pretty.pp_param p))
+      add_param buf p)
     f.Ir.fparams;
   Buffer.add_string buf " -> ";
-  Buffer.add_string buf
-    (match f.Ir.fret with Some ty -> Ir.string_of_ty ty | None -> "void");
+  (match f.Ir.fret with
+  | Some ty -> add_ty buf ty
+  | None -> Buffer.add_string buf "void");
   Buffer.add_char buf '\n';
   List.iter
     (fun bid ->
       let b = Ir.block f bid in
-      Buffer.add_string buf (Printf.sprintf "b%d" (remap bid));
+      add_block_ref buf (remap bid);
       (match b.Ir.loop_origin with
       | Some `For -> Buffer.add_string buf " @for"
       | Some `While -> Buffer.add_string buf " @while"
@@ -60,28 +175,21 @@ let add_func buf (f : Ir.func) =
       Buffer.add_char buf '\n';
       List.iter
         (fun (i : Ir.instr) ->
-          (match i.Ir.kind with
-          | Ir.Phi (v, incoming) ->
-            (* phi arms carry predecessor block ids: remap and sort so
-               the rendering is canonical *)
-            Buffer.add_string buf (Format.asprintf "  phi %a <-" Ir.pp_var v);
-            List.iter
-              (fun (pred, op) ->
-                Buffer.add_string buf (Printf.sprintf " b%d:" pred);
-                add_operand buf op)
-              (List.sort compare
-                 (List.map (fun (pred, op) -> (remap pred, op)) incoming))
-          | kind ->
-            Buffer.add_string buf "  ";
-            Buffer.add_string buf (Format.asprintf "%a" Ir_pretty.pp_kind kind));
+          Buffer.add_string buf "  ";
+          add_kind buf ~remap i.Ir.kind;
           Buffer.add_char buf '\n')
         b.Ir.instrs;
       (match b.Ir.term with
-      | Ir.Jump t -> Buffer.add_string buf (Printf.sprintf "  jump b%d" (remap t))
+      | Ir.Jump t ->
+        Buffer.add_string buf "  jump ";
+        add_block_ref buf (remap t)
       | Ir.Br (c, t1, t2) ->
         Buffer.add_string buf "  br ";
         add_operand buf c;
-        Buffer.add_string buf (Printf.sprintf " b%d b%d" (remap t1) (remap t2))
+        Buffer.add_char buf ' ';
+        add_block_ref buf (remap t1);
+        Buffer.add_char buf ' ';
+        add_block_ref buf (remap t2)
       | Ir.Ret None -> Buffer.add_string buf "  ret"
       | Ir.Ret (Some op) ->
         Buffer.add_string buf "  ret ";
@@ -90,15 +198,21 @@ let add_func buf (f : Ir.func) =
     (List.rev !order)
 
 let add_sym buf (s : Ir.sym) =
-  Buffer.add_string buf
-    (Printf.sprintf "g %s:%s[%d]" s.Ir.sname (Ir.string_of_ty s.Ir.selt)
-       s.Ir.ssize);
+  Buffer.add_string buf "g ";
+  Buffer.add_string buf s.Ir.sname;
+  Buffer.add_char buf ':';
+  add_ty buf s.Ir.selt;
+  Buffer.add_char buf '[';
+  add_int buf s.Ir.ssize;
+  Buffer.add_char buf ']';
   (match s.Ir.sinit with
   | None -> ()
   | Some words ->
     Buffer.add_string buf " =";
     List.iter
-      (fun w -> Buffer.add_string buf (Printf.sprintf " %Ld" w))
+      (fun w ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (Int64.to_string w))
       words);
   Buffer.add_char buf '\n'
 
@@ -127,3 +241,47 @@ let key_of_digest ~config_key digest =
     (Digest.string (String.concat "\x00" [ schema; config_key; digest ]))
 
 let key ~config_key prog = key_of_digest ~config_key (program prog)
+
+(* ------------------------------------------------------------------ *)
+(* The source memo.
+
+   A fixed table of [memo_slots] slots, each an atomic holding one
+   immutable entry, indexed by a hash of the whole text.  A lookup hits
+   only when the stored text equals the asked text byte for byte, so a
+   hash collision costs a recomputation, never a wrong digest; a miss
+   overwrites the slot.  Readers take no lock: a slot only ever holds
+   a complete entry.  Sound because the front end maps one text to one
+   IR within a build (every warm cache hit relies on the same), and the
+   memo never outlives the process.  Text over [memo_max_text] bytes is
+   digested but not kept, which bounds what the memo holds at
+   [memo_slots * memo_max_text] bytes of text (16 MiB). *)
+
+let memo_slots = 1024
+let memo_max_text = 16 * 1024
+
+type entry = { text : string; digest : string }
+
+let memo : entry option Atomic.t array =
+  Array.init memo_slots (fun _ -> Atomic.make None)
+
+let memo_hits = Atomic.make 0
+let memo_misses = Atomic.make 0
+
+let source text =
+  let slot = memo.(Hashtbl.hash text mod memo_slots) in
+  match Atomic.get slot with
+  | Some e when String.equal e.text text ->
+    Atomic.incr memo_hits;
+    e.digest
+  | Some _ | None ->
+    Atomic.incr memo_misses;
+    (* a text the front end rejects raises here and leaves no entry *)
+    let digest = program (Spt_driver.Pipeline.front_end text) in
+    if String.length text <= memo_max_text then
+      Atomic.set slot (Some { text; digest });
+    digest
+
+type memo_stats = { hits : int; misses : int }
+
+let memo_stats () =
+  { hits = Atomic.get memo_hits; misses = Atomic.get memo_misses }

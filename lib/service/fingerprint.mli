@@ -29,3 +29,22 @@ val key : config_key:string -> Spt_ir.Ir.program -> string
 (** [key] for a program whose {!program} digest is already at hand:
     [key ~config_key prog = key_of_digest ~config_key (program prog)]. *)
 val key_of_digest : config_key:string -> string -> string
+
+(** The {!program} digest of a source text:
+    [source text = program (Spt_driver.Pipeline.front_end text)].
+
+    Memoized by the exact text in a fixed table of 1,024 slots, so a
+    text seen before is answered with one hash and one string
+    comparison, without the front end; a hash collision recomputes,
+    never answers another text's digest.  Text over 16 KiB is digested
+    but not kept.  Raises whatever the front end raises, on every call,
+    and keeps nothing for such a text.  Safe to call from several
+    domains at once. *)
+val source : string -> string
+
+(** Process-wide counts of {!source} calls: [hits] were answered from
+    the memo, [misses] ran the front end (over-long and rejected texts
+    included). *)
+type memo_stats = { hits : int; misses : int }
+
+val memo_stats : unit -> memo_stats

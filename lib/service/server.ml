@@ -190,6 +190,13 @@ let stats_reply t =
           match t.timeout_s with Some s -> Json.Float s | None -> Json.Null );
         ("cache", Artifact_cache.stats_json t.cache);
         ("profdb", Spt_profdb.Profdb.stats_json t.profdb);
+        ( "fingerprint",
+          let m = Fingerprint.memo_stats () in
+          Json.Obj
+            [
+              ("hits", Json.Int m.Fingerprint.hits);
+              ("misses", Json.Int m.Fingerprint.misses);
+            ] );
         ("latency_s", latency);
       ])
 
@@ -232,7 +239,7 @@ let reply_of t req =
         let jobs =
           match Json.member "jobs" req with Some (Json.Int n) -> n | _ -> 1
         in
-        let fingerprint = Fingerprint.program (Pipeline.front_end source) in
+        let fingerprint = Fingerprint.source source in
         let profile, gen_in =
           Spt_profdb.Profdb.guide t.profdb ~fingerprint
             (Option.map Spt_profile.Profile_store.load

@@ -25,8 +25,10 @@
       the request carried one.
     - [{"op":"stats"}] — request/error/timeout/overloaded/coalesced
       counts, concurrency settings, in-flight depth, cache
-      hit/miss/rate, the profile-database census ([spt-profdb-v1])
-      and the request-latency histogram.
+      hit/miss/rate, the profile-database census ([spt-profdb-v1]),
+      the process-wide hits and misses of the source-digest memo
+      ([fingerprint], {!Fingerprint.memo_stats}) and the
+      request-latency histogram.
     - [{"op":"shutdown"}] — drain in-flight work, then acknowledge
       (the ack is the final reply) and end the loop.
 

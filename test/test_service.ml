@@ -1,4 +1,5 @@
-(** Compilation-service tests: canonical fingerprints, the
+(** Compilation-service tests: canonical fingerprints (against the
+    printer-based reference rendering) and the source-digest memo, the
     content-addressed artifact cache (corruption always degrades to a
     miss), the batch scheduler's outcome taxonomy, warm/cold compile
     determinism and the serve request loop. *)
@@ -8,7 +9,9 @@ module Cache = Spt_service.Artifact_cache
 module Batch = Spt_service.Batch
 module Cached = Spt_service.Cached
 module Server = Spt_service.Server
+module Fingerprint = Spt_service.Fingerprint
 module Config = Spt_driver.Config
+module Pipeline = Spt_driver.Pipeline
 
 let with_tmpdir f =
   let dir = Filename.temp_file "spt_service" ".d" in
@@ -109,6 +112,151 @@ let test_fingerprint_is_hex () =
       Alcotest.(check bool) "hex digit" true
         (match c with 'a' .. 'f' | '0' .. '9' -> true | _ -> false))
     k
+
+(* array parameters, array arguments and float immediates, which no
+   suite, example or corpus program has *)
+let array_param_src =
+  {|
+int a[16];
+float w[16];
+void scale(float v[], int n, float k) {
+  int i;
+  for (i = 0; i < n; i = i + 1) { v[i] = v[i] * k; }
+}
+int sum3(int v[], int k) { return v[k] + v[k + 1] + v[k + 2]; }
+void main() {
+  int i;
+  for (i = 0; i < 16; i = i + 1) { a[i] = i * i; w[i] = 0.5; }
+  scale(w, 16, 1.5);
+  print_int(sum3(a, 4));
+}
+|}
+
+(* The rendering written straight into the buffer gives the digests of
+   the printer-based reference, for every function and whole program:
+   lowered, in SSA form (phis) and after the best configuration's SPT
+   compile (spt_fork/spt_kill, unrolled and inlined code). *)
+let test_fingerprint_matches_reference () =
+  let check what (p : Spt_ir.Ir.program) =
+    Alcotest.(check string) (what ^ " program") (Ref_fingerprint.program p)
+      (Fingerprint.program p);
+    List.iter
+      (fun (fname, f) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s" what fname)
+          (Ref_fingerprint.func f) (Fingerprint.func f))
+      p.Spt_ir.Ir.funcs
+  in
+  List.iter
+    (fun (name, src) ->
+      check (name ^ " lowered") (Pipeline.front_end src);
+      check (name ^ " ssa") (Test_probes.prepare src);
+      check (name ^ " spt")
+        (Pipeline.compile_spt Config.best src).Pipeline.program)
+    ((("array params", array_param_src) :: Test_probes.suite_sources ())
+    @ Test_probes.examples () @ Test_probes.corpus ()
+    @ Test_probes.generated 200)
+
+let reference_digest src = Fingerprint.program (Pipeline.front_end src)
+
+let memo_delta f =
+  let before = Fingerprint.memo_stats () in
+  let r = f () in
+  let after = Fingerprint.memo_stats () in
+  ( r,
+    after.Fingerprint.hits - before.Fingerprint.hits,
+    after.Fingerprint.misses - before.Fingerprint.misses )
+
+(* [Fingerprint.source] is [program (front_end src)], and a text asked
+   for twice in a row is answered from the memo the second time.  With
+   twice as many programs as the memo has slots, texts share slots and
+   overwrite each other's entries. *)
+let test_source_matches_program () =
+  List.iter
+    (fun (name, src) ->
+      let expected = reference_digest src in
+      Alcotest.(check string) (name ^ " first ask") expected
+        (Fingerprint.source src);
+      let again, hits, misses = memo_delta (fun () -> Fingerprint.source src) in
+      Alcotest.(check string) (name ^ " second ask") expected again;
+      Alcotest.(check (pair int int)) (name ^ " second ask hits the memo")
+        (1, 0) (hits, misses))
+    (Test_probes.suite_sources () @ Test_probes.examples ()
+   @ Test_probes.corpus () @ Test_probes.generated 2048)
+
+(* a text the front end rejects raises the same way every time and is
+   never kept *)
+let test_source_rejects () =
+  List.iter
+    (fun src ->
+      let raised () =
+        match Fingerprint.source src with
+        | d -> Alcotest.failf "%S digested to %s" src d
+        | exception e -> Printexc.to_string e
+      in
+      let first, _, m1 = memo_delta raised in
+      let second, hits, m2 = memo_delta raised in
+      Alcotest.(check string) (src ^ " raises the same") first second;
+      Alcotest.(check (list int)) (src ^ " runs the front end each time")
+        [ 1; 1; 0 ] [ m1; m2; hits ])
+    [ "int ("; "void main() { x = 1; }"; "void main() { print_int(1); } @" ]
+
+(* the memo keeps text up to 16 KiB: one byte more is digested correctly
+   but recomputed on every ask *)
+let test_source_size_cap () =
+  let expected = reference_digest loop_src in
+  let padded len =
+    let filler = len - String.length loop_src - 5 in
+    "/*" ^ String.make filler 'x' ^ "*/
+" ^ loop_src
+  in
+  List.iter
+    (fun (len, kept) ->
+      let src = padded len in
+      Alcotest.(check int) "padded length" len (String.length src);
+      let asks =
+        List.init 2 (fun _ -> memo_delta (fun () -> Fingerprint.source src))
+      in
+      List.iter
+        (fun (d, _, _) ->
+          Alcotest.(check string) (Printf.sprintf "%d bytes digest" len)
+            expected d)
+        asks;
+      let _, hits, misses = List.nth asks 1 in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%d bytes second ask" len)
+        (if kept then (1, 0) else (0, 1))
+        (hits, misses))
+    [ (16 * 1024, true); ((16 * 1024) + 1, false); (64 * 1024, false) ]
+
+(* four domains walk one shuffled list, each from its own offset, so
+   they race on the same slots with different texts *)
+let test_source_concurrent () =
+  let rng = Random.State.make [| 0xF1 |] in
+  let programs =
+    Array.of_list
+      (List.map
+         (fun (_, src) -> (src, reference_digest src))
+         (Test_probes.suite_sources () @ Test_probes.generated 1536))
+  in
+  let n = Array.length programs in
+  for k = n - 1 downto 1 do
+    let j = Random.State.int rng (k + 1) in
+    let t = programs.(k) in
+    programs.(k) <- programs.(j);
+    programs.(j) <- t
+  done;
+  let worker start () =
+    let wrong = ref 0 in
+    for k = 0 to n - 1 do
+      let src, expected = programs.((start + k) mod n) in
+      if not (String.equal (Fingerprint.source src) expected) then incr wrong
+    done;
+    !wrong
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker (d * n / 4))) in
+  Alcotest.(check (list int)) "every domain agrees with the reference"
+    [ 0; 0; 0; 0 ] (List.map Domain.join domains)
 
 (* ------------------------------------------------------------------ *)
 (* Artifact cache *)
@@ -553,6 +701,59 @@ let test_server_compile_and_stats () =
         | Some (Json.Int n) -> n = 3
         | _ -> false))
 
+(* a resent source is answered by the digest memo, a reformatted copy by
+   the front end; both reach the cold compile's entry, and the stats
+   reply counts the memo's hit and miss *)
+let test_server_resend_and_reformat () =
+  with_tmpdir (fun dir ->
+      let t = Server.create ~cache:(Cache.create ~dir ()) () in
+      let send fields =
+        let line = Json.to_string ~minify:true (Json.Obj fields) in
+        match Server.handle_line t line with
+        | `Reply line | `Shutdown line -> (
+          match Json.of_string line with
+          | Ok j -> j
+          | Error e -> Alcotest.fail ("reply is not JSON: " ^ e))
+      in
+      let compile src =
+        send [ ("op", Json.Str "compile"); ("source", Json.Str src) ]
+      in
+      let memo () =
+        match Json.member "fingerprint" (send [ ("op", Json.Str "stats") ]) with
+        | Some (Json.Obj [ ("hits", Json.Int h); ("misses", Json.Int m) ]) ->
+          (h, m)
+        | _ -> Alcotest.fail "stats reply lacks fingerprint hits and misses"
+      in
+      let cold = compile loop_src in
+      let h0, m0 = memo () in
+      let resent = compile loop_src in
+      (* a text no other test sends, so the memo cannot know it *)
+      let reformatted =
+        compile ("// resent, reformatted\n" ^ loop_src_reformatted)
+      in
+      let h1, m1 = memo () in
+      let field k j =
+        match Json.member k j with
+        | Some v -> Json.to_string ~minify:true v
+        | None -> Alcotest.fail (k ^ " missing from compile reply")
+      in
+      List.iter
+        (fun (what, reply, hit) ->
+          Alcotest.(check string) (what ^ ": one key") (field "key" cold)
+            (field "key" reply);
+          Alcotest.(check (option bool)) (what ^ ": cache_hit") (Some hit)
+            (bool_member "cache_hit" reply);
+          Alcotest.(check string) (what ^ ": eval") (field "eval" cold)
+            (field "eval" reply))
+        [
+          ("cold", cold, false);
+          ("resent", resent, true);
+          ("reformatted", reformatted, true);
+        ];
+      Alcotest.(check (pair int int))
+        "memo: the resend hit, the reformat missed" (1, 1)
+        (h1 - h0, m1 - m0))
+
 let test_server_latency_percentiles () =
   with_tmpdir (fun dir ->
       let t = Server.create ~cache:(Cache.create ~dir ()) () in
@@ -943,6 +1144,15 @@ let suite =
     Alcotest.test_case "fingerprint profile-sensitive" `Quick
       test_fingerprint_profile_sensitive;
     Alcotest.test_case "fingerprint is hex" `Quick test_fingerprint_is_hex;
+    Alcotest.test_case "fingerprint matches the printer reference" `Slow
+      test_fingerprint_matches_reference;
+    Alcotest.test_case "source digest = program of front end" `Quick
+      test_source_matches_program;
+    Alcotest.test_case "source digest of rejected text" `Quick
+      test_source_rejects;
+    Alcotest.test_case "source digest size cap" `Quick test_source_size_cap;
+    Alcotest.test_case "source digest from four domains" `Quick
+      test_source_concurrent;
     Alcotest.test_case "cache roundtrip + persistence" `Quick test_cache_roundtrip;
     Alcotest.test_case "corruption is a miss" `Quick test_cache_corruption_is_a_miss;
     Alcotest.test_case "flipped payload byte is a miss" `Quick
@@ -968,6 +1178,8 @@ let suite =
     Alcotest.test_case "cached compile raises on bad source" `Quick
       test_cached_compile_raises_on_bad_source;
     Alcotest.test_case "server compile + stats" `Quick test_server_compile_and_stats;
+    Alcotest.test_case "server resend and reformat" `Quick
+      test_server_resend_and_reformat;
     Alcotest.test_case "server depth field" `Slow test_server_depth_field;
     Alcotest.test_case "server ignores engine field" `Quick
       test_server_ignores_engine_field;
