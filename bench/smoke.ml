@@ -1,12 +1,12 @@
 (** End-to-end contract checks: the observability artifacts, the quick
     bench summary, the artifact cache, the profile-guided feedback loop,
-    the fuzzer, overhead attribution, the load generator, the profile
-    database and K-deep pipelining.  What [sptc] prints and its exit
-    code are checked on an [sptc] subprocess; everything else on the
-    JSON written, each key looked up at its real path.  Every check
-    prints one line with the numbers it compared; the runner keeps going
-    after a failure and exits 1 if any check failed.  Nothing is written
-    outside a temporary directory, caches included.
+    the fuzzer, overhead attribution, the profile database and K-deep
+    pipelining.  What [sptc] prints and its exit code are checked on an
+    [sptc] subprocess; everything else on the JSON written, each key
+    looked up at its real path.  Every check prints one line with the
+    numbers it compared; the runner keeps going after a failure and
+    exits 1 if any check failed.  Nothing is written outside a
+    temporary directory, caches included.
 
     Run with: dune build @smoke (not part of @runtest: the timing checks
     depend on the host).  Some groups only, after dune build
@@ -316,26 +316,6 @@ let attrib_of name =
 let attrib () = List.iter (fun name -> guard name (fun () -> attrib_of name)) [ "scan.c"; "histogram.c" ]
 
 (* ------------------------------------------------------------------ *)
-(* loadtest: concurrent serving beats serial replay, error-free (sptc
-   exits non-zero on an errored reply in either phase) *)
-
-let loadtest () =
-  let report = in_tmp "loadtest.json" in
-  ignore
-    (sptc "loadtest"
-       ([ "loadtest"; "--clients"; "6"; "--requests"; "96"; "--seed"; "42"; "--cache-dir";
-          in_tmp "loadtest-cache"; "--json"; report ]
-       @ warn));
-  let j = load report in
-  check_schema "report" j "spt-loadtest-v1";
-  check_num "no errored reply" j [ "errors" ] (( = ) 0.);
-  check_num "96 requests" j [ "requests" ] (( = ) 96.);
-  check_num "p99 latency" j [ "latency_s"; "p99" ] (fun _ -> true);
-  check_num "throughput > 0" j [ "throughput_rps" ] (fun t -> t > 0.);
-  check_num "faster than serial" j [ "speedup_vs_serial" ] (fun s -> s > 1.0);
-  check_top "top" j "speedup vs serial"
-
-(* ------------------------------------------------------------------ *)
 (* profdb: misspeculation cost falls across generations *)
 
 (* violations + faults + kills over the "; loop N: ..." lines of a
@@ -437,7 +417,7 @@ let depth () =
 
 let groups =
   [ ("obs", obs); ("cache", cache); ("feedback", feedback); ("fuzz", fuzz); ("attrib", attrib);
-    ("loadtest", loadtest); ("profdb", profdb); ("depth", depth); ("bench", bench) ]
+    ("profdb", profdb); ("depth", depth); ("bench", bench) ]
 
 let () =
   let selected = ref [] in

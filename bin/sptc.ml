@@ -9,7 +9,6 @@
     - [batch FILES…]   compile many programs concurrently, cache-warm
     - [top FILE]       render a JSON report as aligned text tables
     - [serve]          line-delimited JSON compile service on stdin
-    - [loadtest]       drive the compile server with concurrent clients
     - [profile FILE]   persist edge/dep/value profiles to a store
     - [profdb]         inspect/export/gc the shared profile database
     - [adapt FILE]     compile → run → re-partition until convergence
@@ -182,9 +181,18 @@ let profile_in_arg =
           "Seed the compilation from a persistent profile store \
            ($(b,spt-profile-v1), written by $(b,sptc profile) / $(b,sptc run \
            --feedback-out)); its runtime telemetry overrides diverging \
-           violation probabilities, and its digest keys the artifact cache")
+           violation probabilities, and its digest keys the artifact cache. \
+           A $(docv) that does not exist is a usage error")
 
-let load_profile profile_in = Option.map Profile_store.load profile_in
+(* a named store must exist (exit 2 otherwise); callers run this after
+   their other flag checks *)
+let load_profile =
+  Option.map (fun path ->
+      match Profile_store.load_explicit path with
+      | Ok store -> store
+      | Error msg ->
+        Format.eprintf "error: --profile-in %s@." msg;
+        exit 2)
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags: --trace, --metrics, --log-level *)
@@ -330,6 +338,7 @@ let run_cmd =
           finish []
         end
         else begin
+          let explicit = load_profile profile_in in
           let src = read_file file in
           let db = Spt_profdb.Profdb.for_cache ~tool:version cache_dir in
           let fingerprint =
@@ -339,7 +348,6 @@ let run_cmd =
           in
           (* an explicit --profile-in always wins; otherwise the profile
              database's accumulated entry guides the compile *)
-          let explicit = load_profile profile_in in
           let profile, db_gen =
             match fingerprint with
             | Some fp -> Spt_profdb.Profdb.guide db ~fingerprint:fp explicit
@@ -507,6 +515,7 @@ let compile_cmd =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
         let config = resolve_depth config depth in
+        let profile = load_profile profile_in in
         (* --trace wants the real per-phase spans, which a warm hit
            would skip entirely — tracing always recompiles *)
         let cache =
@@ -514,8 +523,7 @@ let compile_cmd =
           else make_cache ~cache_dir ~no_cache ()
         in
         let o =
-          Spt_service.Cached.compile ~cache ~config
-            ?profile:(load_profile profile_in)
+          Spt_service.Cached.compile ~cache ~config ?profile
             ~profdb:(make_profdb ?max_entries:profdb_max_entries cache)
             ~name:(Filename.basename file) (read_file file)
         in
@@ -546,14 +554,14 @@ let workload_cmd =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
         let config = resolve_depth config depth in
+        let profile = load_profile profile_in in
         let cache =
           if trace <> None then Spt_service.Artifact_cache.no_cache ()
           else make_cache ~cache_dir ~no_cache ()
         in
         let w = Spt_workloads.Suite.find name in
         let o =
-          Spt_service.Cached.compile ~cache ~config
-            ?profile:(load_profile profile_in)
+          Spt_service.Cached.compile ~cache ~config ?profile
             ~profdb:(make_profdb ?max_entries:profdb_max_entries cache)
             ~name w.Spt_workloads.Suite.source
         in
@@ -639,10 +647,10 @@ let batch_cmd =
     handle_errors (fun () ->
         let finish = setup_obs trace metrics log_level in
         let config = resolve_depth config depth in
-        let cache = make_cache ~cache_dir ~no_cache () in
         (* one shared load: seeding only reads the store's tables, so
            concurrent compiles are safe *)
         let profile = load_profile profile_in in
+        let cache = make_cache ~cache_dir ~no_cache () in
         (* one shared database instance: lookups are lock-free reads
            and the census counters are mutex-guarded *)
         let profdb = make_profdb ?max_entries:profdb_max_entries cache in
@@ -794,7 +802,9 @@ let top_cmd =
           ~doc:
             "A machine-readable spt report: $(b,spt-attrib-v1) ($(b,sptc run \
              --parallel --attrib)), $(b,spt-metrics-v1) ($(b,--metrics)), \
-             $(b,spt-batch-v1) ($(b,sptc batch --summary)) or \
+             $(b,spt-batch-v1) ($(b,sptc batch --summary)), \
+             $(b,spt-profdb-v1) ($(b,sptc profdb stat --json)), \
+             $(b,spt-depth-v1) (the bench's depth sweep) or \
              $(b,spt-bench-v2) ($(b,bench/main.exe))")
   in
   let run file =
@@ -813,8 +823,9 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top" ~version
        ~doc:
-         "Render a machine-readable report (attribution, metrics, batch or \
-          bench JSON) as aligned text tables")
+         "Render a machine-readable report (attribution, metrics, batch, \
+          profile-database, depth-sweep or bench JSON) as aligned text \
+          tables")
     Term.(const run $ report_arg)
 
 let serve_cmd =
@@ -866,190 +877,6 @@ let serve_cmd =
       const run $ cache_dir_arg $ no_cache_arg
       $ cache_max_bytes_arg $ cache_max_entries_arg $ profdb_max_entries_arg
       $ jobs_arg $ queue_max_arg $ timeout_arg $ log_level_arg)
-
-let loadtest_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent simulated clients")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Requests per measured phase (serial and concurrent)")
-  in
-  let blend_arg =
-    let blend_conv =
-      Arg.conv
-        ( (fun s ->
-            match Spt_loadgen.Loadgen.Blend.of_string s with
-            | Ok b -> Ok b
-            | Error msg -> Error (`Msg msg)),
-          fun ppf b ->
-            Format.pp_print_string ppf
-              (Spt_loadgen.Loadgen.Blend.to_string b) )
-    in
-    Arg.(
-      value
-      & opt blend_conv Spt_loadgen.Loadgen.Blend.default
-      & info [ "blend" ] ~docv:"SPEC"
-          ~doc:
-            "Request mix as KIND=WEIGHT pairs, e.g. \
-             $(b,warm=7,cold=1,guided=1); kinds are cold (unique source, \
-             cache miss), warm (fixed family, cache hit) and guided \
-             (profile-directed)")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"Request-stream RNG seed")
-  in
-  let server_jobs_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "server-jobs" ] ~docv:"N" ~doc:"Server worker domains")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt (enum [ ("serve", `Serve); ("inproc", `Inproc) ]) `Serve
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "$(b,serve) drives the real serve loop over pipes; $(b,inproc) \
-             calls the request handler directly from client domains")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the $(b,spt-loadtest-v1) report to $(docv)")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:
-            "Merge the report into $(docv) as its $(b,loadtest) section \
-             (made for BENCH_results.json)")
-  in
-  (* Compiles allocate hard, and every minor collection is a stop-the-
-     world rendezvous of all running domains; with several compile
-     workers per core the default 256k-word minor heap makes those
-     rendezvous the dominant cost and poisons the measurement.  OCaml
-     fixes each domain's minor-heap size at spawn from the startup
-     runtime parameters — [Gc.set] cannot grow it for domains spawned
-     later — so grow it the only way possible: re-exec ourselves once
-     with OCAMLRUNPARAM extended before measuring anything. *)
-  let maybe_reexec () =
-    if
-      (Gc.get ()).Gc.minor_heap_size < 8 * 1024 * 1024
-      && Sys.getenv_opt "SPT_LOADTEST_REEXECED" = None
-    then begin
-      let runparam =
-        match Sys.getenv_opt "OCAMLRUNPARAM" with
-        | Some p when String.trim p <> "" -> p ^ ",s=8M"
-        | _ -> "s=8M"
-      in
-      let keep kv =
-        not
-          (String.starts_with ~prefix:"OCAMLRUNPARAM=" kv
-          || String.starts_with ~prefix:"SPT_LOADTEST_REEXECED=" kv)
-      in
-      let env =
-        Array.append
-          (Array.of_list (List.filter keep (Array.to_list (Unix.environment ()))))
-          [| "OCAMLRUNPARAM=" ^ runparam; "SPT_LOADTEST_REEXECED=1" |]
-      in
-      (* if the exec fails we measure anyway, just on the small heap *)
-      try Unix.execve Sys.executable_name Sys.argv env with _ -> ()
-    end
-  in
-  let run clients requests blend seed server_jobs mode cache_dir json_out
-      bench_out log_level =
-    handle_errors (fun () ->
-        maybe_reexec ();
-        Option.iter Spt_obs.Log.set_level log_level;
-        if clients < 1 || requests < 1 then begin
-          Format.eprintf "error: --clients and --requests must be >= 1@.";
-          exit 2
-        end;
-        let cache =
-          Option.map
-            (fun dir -> Spt_service.Artifact_cache.create ~dir ())
-            cache_dir
-        in
-        let r =
-          Spt_loadgen.Loadgen.run ~mode ~clients ~requests ~blend ~seed
-            ~server_jobs ?cache ()
-        in
-        let lt = Spt_loadgen.Loadgen.to_json r in
-        Format.printf
-          "loadtest: %s mode, %d client(s), %d server job(s), %d+%d \
-           request(s), blend %s, seed %d@."
-          (match r.Spt_loadgen.Loadgen.mode with
-          | `Serve -> "serve"
-          | `Inproc -> "inproc")
-          r.Spt_loadgen.Loadgen.clients r.Spt_loadgen.Loadgen.server_jobs
-          r.Spt_loadgen.Loadgen.serial_requests r.Spt_loadgen.Loadgen.requests
-          (Spt_loadgen.Loadgen.Blend.to_string r.Spt_loadgen.Loadgen.blend)
-          r.Spt_loadgen.Loadgen.seed;
-        Format.printf
-          "loadtest: serial     %8.1f req/s  (%.3fs wall, %d error(s))@."
-          r.Spt_loadgen.Loadgen.serial_rps r.Spt_loadgen.Loadgen.serial_wall_s
-          r.Spt_loadgen.Loadgen.serial_errors;
-        Format.printf
-          "loadtest: concurrent %8.1f req/s  (%.3fs wall, %d error(s), %d \
-           coalesced)@."
-          r.Spt_loadgen.Loadgen.throughput_rps r.Spt_loadgen.Loadgen.wall_s
-          r.Spt_loadgen.Loadgen.errors r.Spt_loadgen.Loadgen.coalesced;
-        let lat = r.Spt_loadgen.Loadgen.latency in
-        Format.printf
-          "loadtest: latency p50 %.4fs, p95 %.4fs, p99 %.4fs; speedup vs \
-           serial %.2fx@."
-          (Spt_obs.Metrics.Hist.percentile lat 0.50)
-          (Spt_obs.Metrics.Hist.percentile lat 0.95)
-          (Spt_obs.Metrics.Hist.percentile lat 0.99)
-          r.Spt_loadgen.Loadgen.speedup_vs_serial;
-        Option.iter
-          (fun path ->
-            Json.to_file path lt;
-            Format.printf "loadtest: report written to %s@." path)
-          json_out;
-        Option.iter
-          (fun path ->
-            (* graft the report into an existing bench object (replacing
-               any previous loadtest section); a missing or unreadable
-               file gets a fresh object holding just this section *)
-            let base =
-              match Json.of_string (read_file path) with
-              | Ok (Json.Obj fields) ->
-                List.filter (fun (k, _) -> k <> "loadtest") fields
-              | Ok _ | Error _ | (exception Sys_error _) -> []
-            in
-            Json.to_file path (Json.Obj (base @ [ ("loadtest", lt) ]));
-            Format.printf "loadtest: merged into %s@." path)
-          bench_out;
-        if
-          r.Spt_loadgen.Loadgen.errors > 0
-          || r.Spt_loadgen.Loadgen.serial_errors > 0
-        then begin
-          Format.eprintf "error: load test saw errored replies@.";
-          exit 1
-        end)
-  in
-  Cmd.v
-    (Cmd.info "loadtest" ~version
-       ~doc:
-         "Load-test the compile server: replay a mixed request stream \
-          serially and with many concurrent clients, and report throughput, \
-          latency percentiles and the concurrent-vs-serial speedup")
-    Term.(
-      const run $ clients_arg $ requests_arg $ blend_arg $ seed_arg
-      $ server_jobs_arg $ mode_arg $ cache_dir_arg $ json_arg $ bench_out_arg
-      $ log_level_arg)
 
 let graph_cmd =
   let kind_arg =
@@ -1468,8 +1295,8 @@ let () =
     Cmd.group info
       [
         run_cmd; dump_ir_cmd; loops_cmd; compile_cmd; workload_cmd; batch_cmd;
-        top_cmd; serve_cmd; loadtest_cmd; graph_cmd; profile_cmd; profdb_cmd;
-        adapt_cmd; fuzz_cmd;
+        top_cmd; serve_cmd; graph_cmd; profile_cmd; profdb_cmd; adapt_cmd;
+        fuzz_cmd;
       ]
   in
   (* distinct exit codes: 0 = success, 2 = usage error, 1 = compile/run

@@ -918,57 +918,6 @@ let top_batch j =
   | _ -> ());
   Buffer.contents buf
 
-let top_loadtest j =
-  let buf = Buffer.create 512 in
-  let inti k = int_of_float (num0 (Json.member k j)) in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "loadtest (%s): %d client(s), %d server job(s), blend %s, seed %d\n"
-       (str_of (Json.member "mode" j))
-       (inti "clients") (inti "server_jobs")
-       (match Json.member "blend" j with
-       | Some b ->
-         Printf.sprintf "cold=%d,warm=%d,guided=%d"
-           (int_of_float (num0 (Json.member "cold" b)))
-           (int_of_float (num0 (Json.member "warm" b)))
-           (int_of_float (num0 (Json.member "guided" b)))
-       | None -> "-")
-       (inti "seed"));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "concurrent: %d request(s), %d error(s), %d coalesced; wall %s; %.1f \
-        req/s\n"
-       (inti "requests") (inti "errors") (inti "coalesced")
-       (fmt_s (num0 (Json.member "wall_s" j)))
-       (num0 (Json.member "throughput_rps" j)));
-  (match Json.member "latency_s" j with
-  | Some h -> Buffer.add_string buf ("latency: " ^ latency_line h ^ "\n")
-  | None -> ());
-  (match Json.member "serial" j with
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "serial:     %d request(s), %d error(s); wall %s; %.1f req/s\n"
-         (int_of_float (num0 (Json.member "requests" s)))
-         (int_of_float (num0 (Json.member "errors" s)))
-         (fmt_s (num0 (Json.member "wall_s" s)))
-         (num0 (Json.member "throughput_rps" s)))
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "speedup vs serial: %.2fx\n"
-       (num0 (Json.member "speedup_vs_serial" j)));
-  (match Json.member "cache" j with
-  | Some c ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "cache: %d entr(ies), %d byte(s), %d eviction(s), hit rate %.0f%%\n"
-         (int_of_float (num0 (Json.member "entries" c)))
-         (int_of_float (num0 (Json.member "bytes" c)))
-         (int_of_float (num0 (Json.member "evictions" c)))
-         (100.0 *. num0 (Json.member "hit_rate" c)))
-  | None -> ());
-  Buffer.contents buf
-
 (* spt-profdb-v1 renders in two shapes: the database census (`sptc
    profdb stat --json`, serve stats) and the bench's repeated-workload
    generations scenario, which embeds a census under "db".  Render
@@ -1153,11 +1102,6 @@ let top_bench j =
     Buffer.add_string buf "profile database (fleet feedback)\n";
     Buffer.add_string buf (top_profdb p)
   | None -> ());
-  (match Json.member "loadtest" j with
-  | Some lt ->
-    Buffer.add_string buf "service load test\n";
-    Buffer.add_string buf (top_loadtest lt)
-  | None -> ());
   Buffer.contents buf
 
 let top_text j =
@@ -1165,7 +1109,6 @@ let top_text j =
   | Some (Json.Str "spt-attrib-v1") -> Ok (top_attrib j)
   | Some (Json.Str "spt-metrics-v1") -> Ok (top_metrics j)
   | Some (Json.Str "spt-batch-v1") -> Ok (top_batch j)
-  | Some (Json.Str "spt-loadtest-v1") -> Ok (top_loadtest j)
   | Some (Json.Str "spt-profdb-v1") -> Ok (top_profdb j)
   | Some (Json.Str "spt-depth-v1") -> Ok (top_depth j)
   | Some (Json.Str "spt-bench-v2") -> Ok (top_bench j)

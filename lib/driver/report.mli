@@ -161,11 +161,10 @@ val attrib_json :
   Spt_obs.Json.t
 
 (** Render a machine-readable report (`spt-attrib-v1`, `spt-metrics-v1`,
-    `spt-batch-v1`, `spt-loadtest-v1`, `spt-profdb-v1` or
-    `spt-bench-v2`) as aligned text tables — the [sptc top] analyzer.
-    A bench report with an embedded [loadtest] or [profdb] section
-    renders those too.  [Error] explains an unknown or missing
-    [schema] field. *)
+    `spt-batch-v1`, `spt-profdb-v1`, `spt-depth-v1` or `spt-bench-v2`)
+    as aligned text tables — the [sptc top] analyzer.  A bench report
+    with an embedded [depth] or [profdb] section renders those too.
+    [Error] explains an unknown or missing [schema] field. *)
 val top_text : Spt_obs.Json.t -> (string, string) result
 
 (** The human-readable [sptc compile] summary.  The CLI prints this and

@@ -90,15 +90,6 @@ module Hist = struct
       Float.max h.mn (Float.min h.mx v)
     end
 
-  let merge ~into src =
-    into.n <- into.n + src.n;
-    into.sum <- into.sum +. src.sum;
-    if src.n > 0 then begin
-      if src.mn < into.mn then into.mn <- src.mn;
-      if src.mx > into.mx then into.mx <- src.mx
-    end;
-    Array.iteri (fun i c -> into.buckets.(i) <- into.buckets.(i) + c) src.buckets
-
   let to_json h =
     Json.Obj
       [

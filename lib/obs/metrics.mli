@@ -44,15 +44,6 @@ module Hist : sig
       observed min/max.  0 when empty. *)
   val percentile : t -> float -> float
 
-  (** [merge ~into src] adds [src]'s observations into [into] —
-      buckets, count, sum and min/max all combine exactly, so
-      percentiles over the merge equal percentiles over the union of
-      observations.  [src] is unchanged.  How concurrent recorders
-      (the load-test clients, one private histogram each) report one
-      latency distribution without sharing a histogram across
-      domains. *)
-  val merge : into:t -> t -> unit
-
   (** [{"count","sum","min","max","mean","p50","p95","p99"}]. *)
   val to_json : t -> Json.t
 end

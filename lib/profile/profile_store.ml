@@ -456,3 +456,7 @@ let load path =
           Spt_obs.Log.warn "[feedback] %s: malformed profile store (%s)" path
             e;
           empty ()))
+
+let load_explicit path =
+  if Sys.file_exists path && not (Sys.is_directory path) then Ok (load path)
+  else Error (path ^ ": no such profile store")

@@ -102,5 +102,14 @@ val digest : t -> string
     round-trips byte-identically. *)
 val save : t -> string -> unit
 
-(** Read a store back; any malfunction degrades to {!empty}. *)
+(** Read a store back; any malfunction degrades to {!empty}.  The
+    paths that merge into a store and write it back use this, so their
+    first run starts from an empty store. *)
 val load : string -> t
+
+(** {!load} for a store named to guide a compile ([--profile-in], the
+    serve ["profile"] field): [Error] naming [path] when no file is
+    there (nothing, or a directory).  An explicit store overrides the
+    profile database even when empty, so a mistyped path must not
+    stand in for the empty store. *)
+val load_explicit : string -> (t, string) result

@@ -109,6 +109,16 @@ let depth_of_req req =
   | Some (Json.Int k) when k >= 1 -> Some k
   | Some _ -> invalid_arg "depth must be a positive integer" (* -> error reply *)
 
+(* optional "profile" field: the store that guides the compile.  A path
+   with no file behind it is an error reply, not an unguided compile *)
+let profile_of req =
+  Option.map
+    (fun path ->
+      match Spt_profile.Profile_store.load_explicit path with
+      | Ok store -> store
+      | Error msg -> invalid_arg msg (* -> error reply *))
+    (str_member "profile" req)
+
 let config_of req =
   let c =
     match str_member "config" req with
@@ -210,15 +220,10 @@ let reply_of t req =
   in
   let timed_compile ~op ~name ~source =
     let t0 = Unix.gettimeofday () in
-    (* optional persistent profile store; a missing or corrupt file
-       loads as the empty store, i.e. an unguided compile *)
-    let profile =
-      Option.map Spt_profile.Profile_store.load (str_member "profile" req)
-    in
     let reply =
       match
-        Cached.compile ~cache:t.cache ~config:(config_of req) ?profile
-          ~profdb:t.profdb ~name source
+        Cached.compile ~cache:t.cache ~config:(config_of req)
+          ?profile:(profile_of req) ~profdb:t.profdb ~name source
       with
       (* depth_of_req cannot raise here: config_of already ran it *)
       | o -> compile_reply ~op ~name ?depth:(depth_of_req req) o
@@ -241,9 +246,7 @@ let reply_of t req =
         in
         let fingerprint = Fingerprint.source source in
         let profile, gen_in =
-          Spt_profdb.Profdb.guide t.profdb ~fingerprint
-            (Option.map Spt_profile.Profile_store.load
-               (str_member "profile" req))
+          Spt_profdb.Profdb.guide t.profdb ~fingerprint (profile_of req)
         in
         let runtime_config =
           { (Spt_runtime.Runtime.default_config ~jobs ()) with oracle = false }

@@ -13,7 +13,8 @@
       — optional ["config"] (default "best"), ["depth"] (a positive
       integer forcing the speculation depth — priced into the compile
       and echoed back; invalid values are rejected), ["profile"] (path
-      to a profile store for guided compilation) and ["name"]; replies
+      to a profile store for guided compilation; a path with no file is
+      rejected) and ["name"]; replies
       with [cache_hit], the cache [key], [elapsed_s], the report text
       and the full eval JSON.
     - [{"op":"workload","name":N}] — compile a built-in workload.

@@ -25,6 +25,11 @@ let exec_stderr args =
       in
       (code, text))
 
+let has hay needle =
+  let n = String.length needle and l = String.length hay in
+  let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let with_tmpdir f =
   let dir = Filename.temp_file "sptc_cli" ".d" in
   Sys.remove dir;
@@ -59,6 +64,7 @@ let test_success () =
 
 let test_usage_errors () =
   Alcotest.(check int) "unknown subcommand" 2 (exec [ "frobnicate" ]);
+  Alcotest.(check int) "loadtest is no subcommand" 2 (exec [ "loadtest" ]);
   Alcotest.(check int) "missing FILE" 2 (exec [ "run" ]);
   Alcotest.(check int) "batch without FILES" 2 (exec [ "batch" ]);
   Alcotest.(check int) "serve rejects positional args" 2
@@ -84,14 +90,8 @@ let test_usage_errors () =
   let code, err = exec_stderr [ "frobnicate" ] in
   Alcotest.(check int) "unknown subcommand exit" 2 code;
   Alcotest.(check bool) "usage on stderr" true
-    (String.length err > 0
-    && (let lower = String.lowercase_ascii err in
-        let has needle =
-          let n = String.length needle and l = String.length lower in
-          let rec go i = i + n <= l && (String.sub lower i n = needle || go (i + 1)) in
-          go 0
-        in
-        has "usage" || has "sptc"))
+    (let lower = String.lowercase_ascii err in
+     has lower "usage" || has lower "sptc")
 
 let test_batch_cache_roundtrip () =
   with_source ok_src (fun path ->
@@ -306,11 +306,6 @@ let test_attrib_exit_codes () =
 (* --chunk hardening: a nonpositive chunk is a usage error (2); the
    attribution report records a forced chunk and [top] renders it *)
 let test_chunk_flags () =
-  let has hay needle =
-    let n = String.length needle and l = String.length hay in
-    let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   with_source loopy_src (fun path ->
       let code, err = exec_stderr [ "run"; path; "--parallel"; "--chunk"; "0" ] in
       Alcotest.(check int) "--chunk 0 exits 2" 2 code;
@@ -340,11 +335,6 @@ let test_chunk_flags () =
             (has (read_file top) "chunk 4")))
 
 let test_profile_in_flags () =
-  let has hay needle =
-    let n = String.length needle and l = String.length hay in
-    let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   with_source loopy_src (fun path ->
       let code, err =
         exec_stderr [ "run"; path; "--profile-in"; "/nonexistent/profile.json" ]
@@ -374,17 +364,32 @@ let test_profile_in_flags () =
                "; profdb: generation 1 (compile guided by --profile-in)");
           (* an explicit empty store still overrides the database's
              entry, and guides nothing *)
-          Alcotest.(check int) "empty --profile-in run exits 0" 0
-            (run (Filename.concat dir "missing.json"));
+          let empty = Filename.concat dir "empty.json" in
+          Spt_profile.Profile_store.save (Spt_profile.Profile_store.empty ()) empty;
+          Alcotest.(check int) "empty --profile-in run exits 0" 0 (run empty);
           Alcotest.(check bool) "an empty --profile-in compiles unguided" true
-            (has (read_file out) "; profdb: generation 2 (unguided compile)")))
+            (has (read_file out) "; profdb: generation 2 (unguided compile)");
+          (* a path with no file behind it is a usage error on every
+             command that takes the flag, never an empty store *)
+          let missing = Filename.concat dir "missing.json" in
+          List.iter
+            (fun args ->
+              let what = List.hd args in
+              let code, err = exec_stderr (args @ [ "--profile-in"; missing ]) in
+              Alcotest.(check int) (what ^ ": missing --profile-in exits 2") 2
+                code;
+              Alcotest.(check bool) (what ^ ": the error names the path") true
+                (has err missing))
+            [
+              [ "run"; path; "--parallel"; "--cache-dir"; cache ];
+              [ "compile"; path; "--cache-dir"; cache ];
+              [ "workload"; "mcf"; "--cache-dir"; cache ];
+              [ "batch"; path; "--cache-dir"; cache ];
+            ];
+          Alcotest.(check int) "a directory is no store either" 2
+            (exec [ "compile"; path; "--no-cache"; "--profile-in"; dir ])))
 
 let test_depth_flags () =
-  let has hay needle =
-    let n = String.length needle and l = String.length hay in
-    let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   with_source loopy_src (fun path ->
       let code, err = exec_stderr [ "run"; path; "--parallel"; "--depth"; "0" ] in
       Alcotest.(check int) "--depth 0 exits 2" 2 code;
@@ -421,6 +426,14 @@ let test_top_exit_codes () =
       close_out oc;
       Alcotest.(check int) "top without schema exits 1" 1
         (exec [ "top"; noschema ]);
+      let loadtest = Filename.concat dir "loadtest.json" in
+      let oc = open_out loadtest in
+      output_string oc "{\"schema\":\"spt-loadtest-v1\"}";
+      close_out oc;
+      let code, err = exec_stderr [ "top"; loadtest ] in
+      Alcotest.(check int) "top on a retired schema exits 1" 1 code;
+      Alcotest.(check bool) "the error names the unsupported schema" true
+        (has err "unsupported schema \"spt-loadtest-v1\"");
       Alcotest.(check int) "top on missing file exits 2" 2
         (exec [ "top"; Filename.concat dir "absent.json" ]))
 

@@ -22,7 +22,6 @@ let () =
       ("feedback", Test_feedback.suite);
       ("profdb", Test_profdb.suite);
       ("service", Test_service.suite);
-      ("loadgen", Test_loadgen.suite);
       ("fuzz", Test_fuzz.suite);
       ("cli", Test_cli.suite);
       ("workloads", Test_workloads.suite);

@@ -673,6 +673,23 @@ let reply_of = function
 let bool_member k j =
   match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
 
+(* one request line through [Server.handle_line], its reply parsed
+   back; none of these requests may end the loop *)
+let send t fields =
+  let line = Json.to_string ~minify:true (Json.Obj fields) in
+  match Server.handle_line t line with
+  | `Reply line -> (
+    match Json.of_string line with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("reply is not JSON: " ^ e))
+  | `Shutdown _ -> Alcotest.fail "the request ended the serve loop"
+
+(* a reply field rendered as minified JSON *)
+let field k j =
+  match Json.member k j with
+  | Some v -> Json.to_string ~minify:true v
+  | None -> Alcotest.fail (k ^ " missing from reply")
+
 let test_server_compile_and_stats () =
   with_tmpdir (fun dir ->
       let t = Server.create ~cache:(Cache.create ~dir ()) () in
@@ -707,14 +724,7 @@ let test_server_compile_and_stats () =
 let test_server_resend_and_reformat () =
   with_tmpdir (fun dir ->
       let t = Server.create ~cache:(Cache.create ~dir ()) () in
-      let send fields =
-        let line = Json.to_string ~minify:true (Json.Obj fields) in
-        match Server.handle_line t line with
-        | `Reply line | `Shutdown line -> (
-          match Json.of_string line with
-          | Ok j -> j
-          | Error e -> Alcotest.fail ("reply is not JSON: " ^ e))
-      in
+      let send = send t in
       let compile src =
         send [ ("op", Json.Str "compile"); ("source", Json.Str src) ]
       in
@@ -732,11 +742,6 @@ let test_server_resend_and_reformat () =
         compile ("// resent, reformatted\n" ^ loop_src_reformatted)
       in
       let h1, m1 = memo () in
-      let field k j =
-        match Json.member k j with
-        | Some v -> Json.to_string ~minify:true v
-        | None -> Alcotest.fail (k ^ " missing from compile reply")
-      in
       List.iter
         (fun (what, reply, hit) ->
           Alcotest.(check string) (what ^ ": one key") (field "key" cold)
@@ -860,6 +865,94 @@ let test_server_depth_field () =
         (bool_member "ok" run);
       Alcotest.(check bool) "workload echoes depth" true
         (Json.member "depth" run = Some (Json.Int 2)))
+
+(* the "profile" field: a non-empty store on disk guides the compile
+   under its own key and replays warm, an empty one keys as no store,
+   and a path with no file behind it is an error reply that neither
+   compiles nor runs anything *)
+let test_server_profile_field () =
+  let module Store = Spt_profile.Profile_store in
+  with_tmpdir (fun dir ->
+      let t =
+        Server.create ~cache:(Cache.create ~dir:(Filename.concat dir "cache") ()) ()
+      in
+      let send = send t in
+      let on_disk name store =
+        let path = Filename.concat dir name in
+        Store.save store path;
+        path
+      in
+      let guided =
+        let s = Store.empty () in
+        let ep, dp, vp = Pipeline.profile_source loop_src in
+        Store.absorb_profiles s ep dp vp;
+        on_disk "guided.json" s
+      and empty = on_disk "empty.json" (Store.empty ()) in
+      let compile extra =
+        send ([ ("op", Json.Str "compile"); ("source", Json.Str loop_src) ] @ extra)
+      in
+      let unguided = compile [] in
+      let cold = compile [ ("profile", Json.Str guided) ] in
+      let warm = compile [ ("profile", Json.Str guided) ] in
+      let via_empty = compile [ ("profile", Json.Str empty) ] in
+      Alcotest.(check (option bool)) "guided compile ok" (Some true)
+        (bool_member "ok" cold);
+      Alcotest.(check bool) "the store keys a distinct artifact" false
+        (field "key" cold = field "key" unguided);
+      Alcotest.(check (option bool)) "resend hits" (Some true)
+        (bool_member "cache_hit" warm);
+      Alcotest.(check string) "resend: same key" (field "key" cold)
+        (field "key" warm);
+      Alcotest.(check string) "resend: byte-identical eval" (field "eval" cold)
+        (field "eval" warm);
+      Alcotest.(check string) "an empty store keys as none"
+        (field "key" unguided) (field "key" via_empty);
+      Alcotest.(check (option bool)) "an empty store hits the unguided entry"
+        (Some true)
+        (bool_member "cache_hit" via_empty);
+      let counts () =
+        let st = send [ ("op", Json.Str "stats") ] in
+        let n path =
+          match
+            List.fold_left
+              (fun j k -> Option.bind j (Json.member k))
+              (Some st) path
+          with
+          | Some (Json.Int i) -> i
+          | _ -> Alcotest.fail (String.concat "." path ^ " missing from stats")
+        in
+        List.map n
+          [
+            [ "errors" ]; [ "cache"; "hits" ]; [ "cache"; "misses" ];
+            [ "profdb"; "lookups" ]; [ "profdb"; "ingests" ];
+          ]
+      in
+      let before = counts () in
+      let missing = Filename.concat dir "missing.json" in
+      List.iter
+        (fun (what, fields) ->
+          let r = send (fields @ [ ("profile", Json.Str missing) ]) in
+          Alcotest.(check (option bool)) (what ^ ": error reply") (Some false)
+            (bool_member "ok" r);
+          Alcotest.(check bool) (what ^ ": the error names the path") true
+            (match Json.member "error" r with
+            | Some (Json.Str e) ->
+              let n = String.length missing in
+              String.length e >= n && String.sub e 0 n = missing
+            | _ -> false))
+        [
+          ("compile", [ ("op", Json.Str "compile"); ("source", Json.Str loop_src) ]);
+          ("workload", [ ("op", Json.Str "workload"); ("name", Json.Str "mcf") ]);
+          ( "workload run",
+            [
+              ("op", Json.Str "workload"); ("name", Json.Str "mcf");
+              ("run", Json.Bool true);
+            ] );
+        ];
+      Alcotest.(check (list int))
+        "three errors; no cache lookup, profile lookup or ingest"
+        (match before with e :: rest -> (e + 3) :: rest | [] -> [])
+        (counts ()))
 
 (* the execution engine is not part of the protocol: a request naming
    one is the same request — the same key, a warm hit *)
@@ -1181,6 +1274,7 @@ let suite =
     Alcotest.test_case "server resend and reformat" `Quick
       test_server_resend_and_reformat;
     Alcotest.test_case "server depth field" `Slow test_server_depth_field;
+    Alcotest.test_case "server profile field" `Quick test_server_profile_field;
     Alcotest.test_case "server ignores engine field" `Quick
       test_server_ignores_engine_field;
     Alcotest.test_case "server errors keep loop alive" `Quick
