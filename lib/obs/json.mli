@@ -13,14 +13,26 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Text already rendered, written verbatim in either mode: a
+          subtree rendered once with [to_string ~minify:true] and
+          spliced into many documents (a server reply's eval, a cache
+          entry's payload).  The writer does not check it; {!of_string}
+          never produces it. *)
 
 (** Render to a string.  [minify:false] (the default) indents nested
     structures two spaces per level.  Non-finite floats render as
     [null], keeping the output always loadable. *)
 val to_string : ?minify:bool -> t -> string
 
+(** How many arrays and objects {!of_string} accepts nested inside each
+    other (512).  The deepest document the system writes nests 9. *)
+val max_depth : int
+
 (** Parse a complete JSON document.  [Error msg] carries the byte
-    offset of the failure. *)
+    offset of the failure.  Nesting deeper than {!max_depth} is an
+    error at the bracket that opens the extra level, so an untrusted
+    line of brackets costs neither stack nor time. *)
 val of_string : string -> (t, string) result
 
 (** [member key j] is the value bound to [key] when [j] is an object. *)

@@ -138,17 +138,20 @@ let index_path t = Option.map (fun r -> Filename.concat r "index.json") t
    still parses as JSON (a flipped byte inside a value, a truncated
    list spliced back together, manual edits) degrades to a miss instead
    of replaying a wrong artifact *)
-let payload_digest payload =
-  Digest.to_hex (Digest.string (Json.to_string ~minify:true payload))
+let text_digest text = Digest.to_hex (Digest.string text)
+let payload_digest payload = text_digest (Json.to_string ~minify:true payload)
 
+(* the payload is rendered once: its text is both digested and spliced
+   into the entry *)
 let render_entry key payload =
+  let text = Json.to_string ~minify:true payload in
   Json.to_string ~minify:true
     (Json.Obj
        [
          ("schema", Json.Str schema);
          ("key", Json.Str key);
-         ("digest", Json.Str (payload_digest payload));
-         ("payload", payload);
+         ("digest", Json.Str (text_digest text));
+         ("payload", Json.Raw text);
        ])
 
 (* a miss on *any* malfunction: absent, unreadable, unparsable, wrong

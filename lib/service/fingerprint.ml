@@ -243,42 +243,30 @@ let key_of_digest ~config_key digest =
 let key ~config_key prog = key_of_digest ~config_key (program prog)
 
 (* ------------------------------------------------------------------ *)
-(* The source memo.
+(* The source memo: a {!Slot_memo} keyed by the whole text, so a lookup
+   hits only when the stored text equals the asked text byte for byte.
+   Sound because the front end maps one text to one IR within a build
+   (every warm cache hit relies on the same), and the memo never
+   outlives the process. *)
 
-   A fixed table of [memo_slots] slots, each an atomic holding one
-   immutable entry, indexed by a hash of the whole text.  A lookup hits
-   only when the stored text equals the asked text byte for byte, so a
-   hash collision costs a recomputation, never a wrong digest; a miss
-   overwrites the slot.  Readers take no lock: a slot only ever holds
-   a complete entry.  Sound because the front end maps one text to one
-   IR within a build (every warm cache hit relies on the same), and the
-   memo never outlives the process.  Text over [memo_max_text] bytes is
-   digested but not kept, which bounds what the memo holds at
-   [memo_slots * memo_max_text] bytes of text (16 MiB). *)
-
-let memo_slots = 1024
-let memo_max_text = 16 * 1024
-
-type entry = { text : string; digest : string }
-
-let memo : entry option Atomic.t array =
-  Array.init memo_slots (fun _ -> Atomic.make None)
+let memo : (string, string) Slot_memo.t =
+  Slot_memo.create Slot_memo.source_slots
 
 let memo_hits = Atomic.make 0
 let memo_misses = Atomic.make 0
 
 let source text =
-  let slot = memo.(Hashtbl.hash text mod memo_slots) in
-  match Atomic.get slot with
-  | Some e when String.equal e.text text ->
+  let hash = Hashtbl.hash text in
+  match Slot_memo.find memo ~hash ~equal:String.equal text with
+  | Some digest ->
     Atomic.incr memo_hits;
-    e.digest
-  | Some _ | None ->
+    digest
+  | None ->
     Atomic.incr memo_misses;
     (* a text the front end rejects raises here and leaves no entry *)
     let digest = program (Spt_driver.Pipeline.front_end text) in
-    if String.length text <= memo_max_text then
-      Atomic.set slot (Some { text; digest });
+    if String.length text <= Slot_memo.source_max_text then
+      Slot_memo.set memo ~hash text digest;
     digest
 
 type memo_stats = { hits : int; misses : int }

@@ -33,11 +33,12 @@ val key_of_digest : config_key:string -> string -> string
 (** The {!program} digest of a source text:
     [source text = program (Spt_driver.Pipeline.front_end text)].
 
-    Memoized by the exact text in a fixed table of 1,024 slots, so a
-    text seen before is answered with one hash and one string
-    comparison, without the front end; a hash collision recomputes,
-    never answers another text's digest.  Text over 16 KiB is digested
-    but not kept.  Raises whatever the front end raises, on every call,
+    Memoized by the exact text in a {!Slot_memo} of 1,024 slots
+    ({!Slot_memo.source_slots}), so a text seen before is answered with
+    one hash and one string comparison, without the front end; a hash
+    collision recomputes, never answers another text's digest.  Text
+    over 16 KiB ({!Slot_memo.source_max_text}) is digested but not
+    kept.  Raises whatever the front end raises, on every call,
     and keeps nothing for such a text.  Safe to call from several
     domains at once. *)
 val source : string -> string

@@ -47,6 +47,9 @@ type t = {
   scond : Condition.t;
   pending : (string, pending) Hashtbl.t;
   mutable inflight : int;
+  evals : (string * Json.t, string) Slot_memo.t;
+      (* the minified eval text of compile replies, by artifact key and
+         eval tree (see [eval_text]) *)
 }
 
 let create ?cache ?profdb ?(jobs = 1) ?(queue_max = 64) ?timeout_s () =
@@ -75,6 +78,7 @@ let create ?cache ?profdb ?(jobs = 1) ?(queue_max = 64) ?timeout_s () =
     scond = Condition.create ();
     pending = Hashtbl.create 16;
     inflight = 0;
+    evals = Slot_memo.create Slot_memo.reply_slots;
   }
 
 let jobs t = t.jobs
@@ -153,7 +157,26 @@ let observe t dt =
 
 (* ------------------------------------------------------------------ *)
 
-let compile_reply ~op ~name ?depth (o : Cached.outcome) =
+(* The eval of a compile reply, rendered once per artifact.  A warm hit
+   hands back the very tree the cache holds, so the memo answers only
+   when its entry's tree is physically the outcome's: trees are
+   immutable, so that tree renders to that text.  An artifact stored
+   again or read back from disk is a new tree and is rendered fresh;
+   the key only picks the slot. *)
+let same_eval (k, e) (k', e') = e == e' && String.equal k k'
+
+let eval_text t (o : Cached.outcome) =
+  let hash = Hashtbl.hash o.Cached.key
+  and entry = (o.Cached.key, o.Cached.eval) in
+  match Slot_memo.find t.evals ~hash ~equal:same_eval entry with
+  | Some text -> text
+  | None ->
+    let text = Json.to_string ~minify:true o.Cached.eval in
+    if String.length text <= Slot_memo.reply_max_text then
+      Slot_memo.set t.evals ~hash entry text;
+    text
+
+let compile_reply t ~op ~name ?depth (o : Cached.outcome) =
   Json.Obj
     ([
        ("ok", Json.Bool true);
@@ -163,7 +186,7 @@ let compile_reply ~op ~name ?depth (o : Cached.outcome) =
        ("cache_hit", Json.Bool o.Cached.hit);
        ("elapsed_s", Json.Float o.Cached.elapsed_s);
        ("report_text", Json.Str o.Cached.report_text);
-       ("eval", o.Cached.eval);
+       ("eval", Json.Raw (eval_text t o));
      ]
     (* echoed only when the request forced a depth, so pre-depth
        clients see byte-identical replies *)
@@ -226,7 +249,7 @@ let reply_of t req =
           ?profile:(profile_of req) ~profdb:t.profdb ~name source
       with
       (* depth_of_req cannot raise here: config_of already ran it *)
-      | o -> compile_reply ~op ~name ?depth:(depth_of_req req) o
+      | o -> compile_reply t ~op ~name ?depth:(depth_of_req req) o
       | exception e -> err (describe_error e)
     in
     observe t (Unix.gettimeofday () -. t0);

@@ -81,7 +81,16 @@ val create :
 
 val jobs : t -> int
 
-(** Handle one decoded request.  Thread-safe. *)
+(** Handle one decoded request.  Thread-safe.
+
+    The ["eval"] of a compile reply (ops ["compile"] and ["workload"]
+    without ["run"]) is a {!Spt_obs.Json.Raw}: its
+    minified text, rendered once per artifact and kept in a bounded
+    memo ({!Slot_memo.reply_slots} slots, texts up to
+    {!Slot_memo.reply_max_text} bytes) that answers only for the very
+    eval tree the cache handed back, so warm replies splice it instead
+    of rendering the tree again.  Render the reply minified to get the
+    protocol's bytes. *)
 val handle :
   t -> Spt_obs.Json.t -> [ `Reply of Spt_obs.Json.t | `Shutdown of Spt_obs.Json.t ]
 

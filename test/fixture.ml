@@ -29,3 +29,13 @@ let sources dir =
   |> List.map (fun f ->
          let p = Filename.concat d f in
          (p, In_channel.with_open_bin p In_channel.input_all))
+
+(** Run [f] on a fresh temporary directory, removed afterwards. *)
+let with_tmpdir f =
+  let dir = Filename.temp_file "spt_test" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+    (fun () -> f dir)

@@ -30,13 +30,7 @@ let has hay needle =
   let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-let with_tmpdir f =
-  let dir = Filename.temp_file "sptc_cli" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
-    (fun () -> f dir)
+let with_tmpdir = Fixture.with_tmpdir
 
 let with_source contents f =
   let path = Filename.temp_file "sptc_cli" ".c" in

@@ -1,5 +1,5 @@
-(** Tests for the observability layer ([Spt_obs]): the JSON tree,
-    metrics registry, trace spans, leveled logging — and one pipeline
+(** Tests for the observability layer ([Spt_obs]): the JSON tree
+    (against its reference model {!Ref_json}), metrics registry, trace spans, leveled logging — and one pipeline
     run asserting that the instrumentation wired through the compiler
     actually fires. *)
 
@@ -72,6 +72,185 @@ let test_json_nonfinite () =
   | Ok j -> Alcotest.(check bool) "non-finite floats load as null" true
       (j = Json.List [ Json.Null; Json.Null ])
   | Error msg -> Alcotest.fail msg
+
+(* ------------------------------------------------------------------ *)
+(* JSON against its reference model ([Ref_json], the code the writer and
+   reader replaced): same bytes out, same trees and error strings in *)
+
+let pick rng a = a.(Random.State.int rng (Array.length a))
+
+(* floats from random bit patterns (NaNs, infinities, subnormals, ±0
+   among them) and from the shapes replies carry: integers on both sides
+   of 1e15, short decimals, ratios *)
+let random_float rng =
+  let bits () = Int64.float_of_bits (Random.State.bits64 rng) in
+  match Random.State.int rng 8 with
+  | 0 | 1 -> bits ()
+  | 2 ->
+    (* a subnormal: exponent field 0 *)
+    Int64.float_of_bits
+      (Int64.logand (Random.State.bits64 rng) 0x800F_FFFF_FFFF_FFFFL)
+  | 3 ->
+    pick rng
+      [| 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float;
+         Float.max_float; Float.epsilon; 1e15; -1e15; 1e15 -. 1.0;
+         0.1; 1e-9; 5e-324 |]
+  | 4 ->
+    (* integers near 1e15, and halves beside them *)
+    let k = float_of_int (Random.State.int rng 4001 - 2000) in
+    let x = 1e15 +. (k *. pick rng [| 1.0; 0.5; 3.0 |]) in
+    if Random.State.bool rng then x else -.x
+  | 5 -> float_of_int (Random.State.int rng 2_000_001 - 1_000_000)
+  | 6 -> float_of_int (Random.State.int rng 1_000_000) /. pick rng [| 10.; 1000.; 7.; 3.; 1e6 |]
+  | _ -> Random.State.float rng 2.0 -. 1.0
+
+let random_int rng =
+  match Random.State.int rng 4 with
+  | 0 -> pick rng [| 0; -1; 1; max_int; min_int; 1 lsl 53; -(1 lsl 53) |]
+  | 1 -> Int64.to_int (Random.State.bits64 rng)
+  | _ -> Random.State.int rng 2_000_001 - 1_000_000
+
+(* strings over all 256 byte values, or mostly plain text with the
+   bytes that need escapes mixed in *)
+let random_string rng =
+  let len = pick rng [| 0; 1; 2; 5; 12; 40 |] in
+  let plain = Random.State.bool rng in
+  String.init len (fun _ ->
+      if plain && Random.State.int rng 8 > 0 then
+        Char.chr (32 + Random.State.int rng 95)
+      else Char.chr (Random.State.int rng 256))
+
+let rec random_json rng depth =
+  match Random.State.int rng (if depth = 0 then 5 else 7) with
+  | 0 -> Json.Null
+  | 1 -> Json.Bool (Random.State.bool rng)
+  | 2 -> Json.Int (random_int rng)
+  | 3 -> Json.Float (random_float rng)
+  | 4 -> Json.Str (random_string rng)
+  | 5 ->
+    Json.List
+      (List.init (Random.State.int rng 5) (fun _ -> random_json rng (depth - 1)))
+  | _ ->
+    Json.Obj
+      (List.init (Random.State.int rng 5) (fun _ ->
+           (random_string rng, random_json rng (depth - 1))))
+
+let test_json_writer_matches_reference () =
+  let rng = Random.State.make [| 0x15011 |] in
+  for _ = 1 to 3000 do
+    let j = random_json rng 4 in
+    List.iter
+      (fun minify ->
+        let expected = Ref_json.to_string ~minify j in
+        let got = Json.to_string ~minify j in
+        if not (String.equal expected got) then
+          Alcotest.failf "to_string ~minify:%b: %S, reference %S" minify got
+            expected)
+      [ true; false ]
+  done;
+  (* every float the writer's fast paths meet, one at a time *)
+  for _ = 1 to 20_000 do
+    let x = random_float rng in
+    let expected = Ref_json.to_string (Json.Float x) in
+    let got = Json.to_string (Json.Float x) in
+    if not (String.equal expected got) then
+      Alcotest.failf "float %h: %S, reference %S" x got expected
+  done
+
+(* JSON-shaped text from fragments: every escape (valid or not), number
+   shapes int_of_string and float_of_string disagree on, stray
+   delimiters *)
+let fragments =
+  [| "{"; "}"; "["; "]"; ","; ":"; " "; "\n"; "\t"; "\"a\""; "\"\"";
+     "\"\\u00e9\""; "\"\\uD83D\""; "\"\\u0041x\""; "\"\\u12_4\"";
+     "\"\\u1__\""; "\"\\uzzzz\""; "\"\\u12\""; "\"\\b\\f\\/\\r\"";
+     "\"\\q\""; "\"\\"; "\""; "\"x\\\""; "\"a\\nb\"";
+     "true"; "tru"; "false"; "null"; "nul"; "0"; "-0"; "1e5"; "+3"; "-";
+     "1.5e-3"; "0012"; "1e999"; "-1e999"; "4611686018427387903";
+     "4611686018427387904"; "-4611686018427387905"; "1.2.3"; "e"; ".5";
+     "x"; "\x00"; "\xc3\xa9"; "{\"k\":1}"; "[1,2]"; "[1,]"; "{\"a\" 1}" |]
+
+let random_text rng =
+  String.concat ""
+    (List.init (1 + Random.State.int rng 12) (fun _ -> pick rng fragments))
+
+let parse_agrees doc =
+  let expected = Ref_json.of_string doc and got = Json.of_string doc in
+  (* [compare], not [=]: a parsed tree may hold a NaN *)
+  if compare expected got <> 0 then
+    Alcotest.failf "of_string %S: %s, reference %s" doc
+      (match got with Ok j -> Json.to_string ~minify:true j | Error e -> e)
+      (match expected with
+      | Ok j -> Json.to_string ~minify:true j
+      | Error e -> e)
+
+let test_json_reader_matches_reference () =
+  let rng = Random.State.make [| 0x15012 |] in
+  for _ = 1 to 2000 do
+    let doc =
+      if Random.State.int rng 3 = 0 then random_text rng
+      else Ref_json.to_string ~minify:(Random.State.bool rng) (random_json rng 4)
+    in
+    parse_agrees doc;
+    let n = String.length doc in
+    (* truncations *)
+    for _ = 1 to 3 do
+      parse_agrees (String.sub doc 0 (Random.State.int rng (n + 1)))
+    done;
+    (* one-byte mutations *)
+    if n > 0 then
+      for _ = 1 to 3 do
+        let b = Bytes.of_string doc in
+        Bytes.set b (Random.State.int rng n)
+          (if Random.State.bool rng then pick rng [| '"'; '\\'; '['; '{'; ','; ':'; 'u'; '0'; '-' |]
+           else Char.chr (Random.State.int rng 256));
+        parse_agrees (Bytes.to_string b)
+      done
+  done
+
+let test_json_raw () =
+  let inner = Json.Obj [ ("a", Json.List [ Json.Int 1; Json.Float 0.5 ]) ] in
+  let text = Json.to_string ~minify:true inner in
+  List.iter
+    (fun minify ->
+      Alcotest.(check string)
+        (Printf.sprintf "a Raw leaf renders as its tree did (minify=%b)" minify)
+        (Json.to_string ~minify (Json.List [ Json.Str "x"; inner ]))
+        (Json.to_string ~minify
+           (Json.List
+              [ Json.Str "x"; (if minify then Json.Raw text else inner) ])))
+    [ true; false ];
+  Alcotest.(check string) "Raw is written verbatim in either mode"
+    "{\n  \"r\": {\"a\":[1,0.5]}\n}"
+    (Json.to_string (Json.Obj [ ("r", Json.Raw text) ]))
+
+let test_json_depth_bound () =
+  let nest k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d levels parse" Json.max_depth)
+    true
+    (Result.is_ok (Json.of_string (nest Json.max_depth)));
+  Alcotest.(check (result reject string))
+    "one more level is an error at its bracket"
+    (Error
+       (Printf.sprintf "at byte %d: nesting deeper than %d" Json.max_depth
+          Json.max_depth))
+    (Result.map ignore (Json.of_string (nest (Json.max_depth + 1))));
+  let objects =
+    String.concat "" (List.init 600 (fun _ -> "{\"k\":")) ^ "1"
+  in
+  Alcotest.(check bool) "nested objects count too" true
+    (match Json.of_string objects with
+    | Error e -> String.ends_with ~suffix:"nesting deeper than 512" e
+    | Ok _ -> false);
+  (* an untrusted line of 8 MB of brackets is refused without
+     descending into it *)
+  let t0 = Unix.gettimeofday () in
+  let r = Json.of_string (String.make (8 * 1024 * 1024) '[') in
+  Alcotest.(check bool) "8 MB of brackets: an error" true (Result.is_error r);
+  Alcotest.(check bool) "8 MB of brackets: refused in well under a second"
+    true
+    (Unix.gettimeofday () -. t0 < 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
@@ -479,6 +658,12 @@ let suite =
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse" `Quick test_json_parse;
     Alcotest.test_case "json non-finite" `Quick test_json_nonfinite;
+    Alcotest.test_case "json writer = reference" `Quick
+      test_json_writer_matches_reference;
+    Alcotest.test_case "json reader = reference" `Quick
+      test_json_reader_matches_reference;
+    Alcotest.test_case "json raw leaf" `Quick test_json_raw;
+    Alcotest.test_case "json nesting bound" `Quick test_json_depth_bound;
     Alcotest.test_case "counter accumulation" `Quick test_counter_accumulation;
     Alcotest.test_case "histogram accumulation" `Quick test_histogram_accumulation;
     Alcotest.test_case "histogram quantiles" `Quick test_hist_quantiles;

@@ -5,7 +5,8 @@
     are pinned over the examples and corpus, [Config.best] guided by a
     deterministic profile store over the examples and corpus, and
     [Config.best] over the first generated programs of the [serve_mix]
-    benchmark's cold pool.
+    benchmark's cold pool.  The serve replies to the examples and
+    corpus are pinned byte for byte, cold and warm.
     A refactor that moves any of them fails here; a change meant to
     move them updates the table and says why. *)
 
@@ -219,6 +220,97 @@ let source name =
   | w -> w.Spt_workloads.Suite.source
   | exception Invalid_argument _ -> Fixture.read name
 
+(* Serve reply pins: the reply lines of a compile request for every
+   example and corpus program through [Server.handle_line] on a fresh
+   cache, as (cold, warm) digests, with the [elapsed_s] value (the only
+   field that varies from run to run) normalized to 0 *)
+let reply_pins =
+  [
+    ( "examples/src/feedback_loop.c",
+      ("b654d112f6003290a3d87cb012b378c4", "328bca7f28f402c3e28f856100f3e6a4") );
+    ( "examples/src/histogram.c",
+      ("12977e72359c6f26315f32659279bb00", "8c01ee8f67c4776355120309802918f4") );
+    ( "examples/src/scan.c",
+      ("56e689f07b984ea241a5c2ed1ec5c60c", "8aa8f55953ad0e2be104f4d6232211f0") );
+    ( "examples/src/smoothing.c",
+      ("44c9b214663ea1da09851611a01d24b7", "71581a3c295fb51599b165acf955e17f") );
+    ( "test/corpus/int_s42_c0.c",
+      ("9e434311a7a3b8cf708e35d2b08474af", "a9aefb7980d159723f0f11e1630ac2b2") );
+    ( "test/corpus/int_s42_c1.c",
+      ("e200cf0bc0ecb3bdea4da343f6543248", "13ca4acc3c79e4dffcdb1559e6418da2") );
+    ( "test/corpus/int_s42_c2.c",
+      ("f687612721645c965fe80fb1beb24f6a", "ef566ea819518d4e0c637d9816641b0c") );
+    ( "test/corpus/int_s42_c3.c",
+      ("62370fd05a47a34b5d123cff1e48c084", "0941aa534b98bca3929098d0e82e876d") );
+    ( "test/corpus/reg_dowhile_phi.c",
+      ("61dcab493d296cc7a4b99d98e33f1347", "ead62b6387a2efb5d988ffebedd5b112") );
+    ( "test/corpus/reg_header_branch.c",
+      ("75dfe90c1a9161dc4edce5b978882685", "ba4941ae9ededcbfbc0308144c879fd4") );
+    ( "test/corpus/reg_shared_latch_phi.c",
+      ("de95c2db6894ce651a591a7228ae6ce8", "05f11d26a12bb358dbaaaf1ceae43961") );
+  ]
+
+module Server = Spt_service.Server
+module Cache = Spt_service.Artifact_cache
+
+(* [line] with the number after its first ["elapsed_s":] replaced by 0 *)
+let normalize_elapsed line =
+  let tag = "\"elapsed_s\":" in
+  let n = String.length line and l = String.length tag in
+  let rec find i =
+    if i + l > n then None
+    else if String.sub line i l = tag then Some (i + l)
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some start ->
+    let stop = ref start in
+    while !stop < n && String.contains "0123456789.eE+-" line.[!stop] do
+      incr stop
+    done;
+    String.sub line 0 start ^ "0" ^ String.sub line !stop (n - !stop)
+
+let reply_request id name =
+  Spt_obs.Json.(
+    to_string ~minify:true
+      (Obj
+         [
+           ("id", Int id);
+           ("op", Str "compile");
+           ("name", Str (Filename.basename name));
+           ("source", Str (source name));
+         ]))
+
+let reply_line t line =
+  match Server.handle_line t line with
+  | `Reply r -> normalize_elapsed r
+  | `Shutdown _ -> Alcotest.fail "a compile request ended the serve loop"
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let test_reply_pins () =
+  Fixture.with_tmpdir (fun dir ->
+      let t = Server.create ~cache:(Cache.create ~dir ()) () in
+      let warm =
+        List.mapi
+          (fun id (name, (cold, warm)) ->
+            let line = reply_request id name in
+            Alcotest.(check string) ("cold " ^ name) cold
+              (digest (reply_line t line));
+            let reply = reply_line t line in
+            Alcotest.(check string) ("warm " ^ name) warm (digest reply);
+            (line, reply))
+          reply_pins
+      in
+      (* a second server over the same directory reads each entry back
+         from disk and replies the same warm bytes *)
+      let t' = Server.create ~cache:(Cache.create ~dir ()) () in
+      List.iter
+        (fun (line, warm) ->
+          Alcotest.(check string) "warm from disk" warm (reply_line t' line))
+        warm)
+
 let test_pins () =
   List.iter
     (fun (name, expected) ->
@@ -272,6 +364,8 @@ let test_every_program_pinned () =
                  (List.mem_assoc name pins);
                Alcotest.(check bool) (f ^ " pinned guided") true
                  (List.mem_assoc name guided_pins);
+               Alcotest.(check bool) (f ^ " reply pinned") true
+                 (List.mem_assoc name reply_pins);
                List.iter
                  (fun (c : Config.t) ->
                    if c.Config.name <> Config.best.Config.name then
@@ -294,5 +388,6 @@ let suite =
       test_guided_pins;
     Alcotest.test_case "an empty profile compiles unguided" `Slow
       test_empty_profile_unguided;
+    Alcotest.test_case "serve replies match their pins" `Slow test_reply_pins;
     Alcotest.test_case "every program is pinned" `Quick test_every_program_pinned;
   ]

@@ -12,14 +12,7 @@ module Cached = Spt_service.Cached
 module Server = Spt_service.Server
 module Pipeline = Spt_driver.Pipeline
 
-let with_tmpdir f =
-  let dir = Filename.temp_file "spt_profdb" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
-    (fun () -> f dir)
+let with_tmpdir = Fixture.with_tmpdir
 
 let read_file path =
   let ic = open_in_bin path in

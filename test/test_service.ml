@@ -2,7 +2,7 @@
     printer-based reference rendering) and the source-digest memo, the
     content-addressed artifact cache (corruption always degrades to a
     miss), the batch scheduler's outcome taxonomy, warm/cold compile
-    determinism and the serve request loop. *)
+    determinism and the serve request loop with its eval memo. *)
 
 module Json = Spt_obs.Json
 module Cache = Spt_service.Artifact_cache
@@ -13,14 +13,7 @@ module Fingerprint = Spt_service.Fingerprint
 module Config = Spt_driver.Config
 module Pipeline = Spt_driver.Pipeline
 
-let with_tmpdir f =
-  let dir = Filename.temp_file "spt_service" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
-    (fun () -> f dir)
+let with_tmpdir = Fixture.with_tmpdir
 
 let loop_src =
   {|
@@ -1053,9 +1046,9 @@ let compile_req ?(extra = []) ~id src =
         ]
        @ extra))
 
-(* write every line, close (EOF → drain), read replies until the server
-   closes its end *)
-let serve_session server lines =
+(* write every line, close (EOF → drain), read the raw reply lines until
+   the server closes its end *)
+let serve_lines server lines =
   let r_req, w_req = Unix.pipe () and r_rep, w_rep = Unix.pipe () in
   let srv_ic = Unix.in_channel_of_descr r_req
   and srv_oc = Unix.out_channel_of_descr w_rep in
@@ -1081,12 +1074,15 @@ let serve_session server lines =
   Domain.join srv;
   close_in_noerr from_srv;
   close_in_noerr srv_ic;
+  replies
+
+let serve_session server lines =
   List.map
     (fun l ->
       match Json.of_string l with
       | Ok j -> j
       | Error e -> Alcotest.fail ("reply is not JSON: " ^ e))
-    replies
+    (serve_lines server lines)
 
 let int_member k j =
   match Json.member k j with Some (Json.Int n) -> Some n | _ -> None
@@ -1186,6 +1182,238 @@ let test_server_coalescing () =
       Alcotest.(check bool) "the leader itself is never coalesced" true
         (coalesced < 6))
 
+(* ------------------------------------------------------------------ *)
+(* The eval memo: a compile reply splices the eval text rendered for
+   the very tree the cache holds *)
+
+(* [line] as the server renders it without the memo: the eval tree the
+   cache holds under the reply's key, rendered in place *)
+let unmemoized cache line =
+  match Json.of_string line with
+  | Error e -> Alcotest.fail ("reply is not JSON: " ^ e)
+  | Ok reply -> (
+    let eval =
+      match Json.member "key" reply with
+      | Some (Json.Str key) ->
+        Option.bind (Cache.find cache key) (Json.member "eval")
+      | _ -> None
+    in
+    match eval with
+    | Some eval -> Json.to_string ~minify:true (Json.set ("eval", eval) reply)
+    | None -> Alcotest.fail ("no cached eval behind " ^ line))
+
+let reply_line t line =
+  match Server.handle_line t line with
+  | `Reply r -> r
+  | `Shutdown _ -> Alcotest.fail "a compile request ended the serve loop"
+
+(* cold and warm, plain, depth-forced and profile-guided compiles, and
+   replies coalesced onto a leader: each line is the rendering without
+   the memo *)
+let test_server_eval_memo_replies () =
+  let module Store = Spt_profile.Profile_store in
+  with_tmpdir (fun dir ->
+      let cache = Cache.create ~dir:(Filename.concat dir "cache") () in
+      let t = Server.create ~cache () in
+      let guide = Filename.concat dir "guide.json" in
+      (let s = Store.empty () in
+       let ep, dp, vp = Pipeline.profile_source loop_src in
+       Store.absorb_profiles s ep dp vp;
+       Store.save s guide);
+      List.iter
+        (fun (what, extra) ->
+          let line = compile_req ~extra ~id:1 loop_src in
+          List.iter
+            (fun (state, hit) ->
+              let reply = reply_line t line in
+              Alcotest.(check (option bool)) (what ^ " " ^ state) (Some hit)
+                (Option.bind
+                   (Result.to_option (Json.of_string reply))
+                   (bool_member "cache_hit"));
+              Alcotest.(check string)
+                (what ^ " " ^ state ^ ": as without the memo")
+                (unmemoized cache reply) reply)
+            [ ("cold", false); ("warm", true); ("warm again", true) ])
+        [
+          ("plain", []);
+          ("depth-forced", [ ("depth", Json.Int 2) ]);
+          ("profile-guided", [ ("profile", Json.Str guide) ]);
+        ];
+      let server = Server.create ~cache ~jobs:2 () in
+      (* identical requests modulo id attach to one leader in flight *)
+      let replies =
+        serve_lines server
+          (List.init 6 (fun id ->
+               Json.to_string ~minify:true
+                 (Json.Obj
+                    [
+                      ("op", Json.Str "compile");
+                      ("source", Json.Str (heavy_src 556));
+                      ("id", Json.Int id);
+                    ])))
+      in
+      Alcotest.(check bool) "some replies were coalesced" true
+        (List.exists
+           (fun r ->
+             match Json.of_string r with
+             | Ok j -> bool_member "coalesced" j = Some true
+             | Error _ -> false)
+           replies);
+      List.iter
+        (fun r ->
+          Alcotest.(check string) "coalesced: as without the memo"
+            (unmemoized cache r) r)
+        replies)
+
+(* the memo answers for one tree only: another tree stored under the
+   same key, or the entry read back from disk, is rendered fresh *)
+let test_server_eval_memo_fresh_tree () =
+  with_tmpdir (fun dir ->
+      let cache = Cache.create ~dir () in
+      let t = Server.create ~cache () in
+      let line = compile_req ~id:1 tiny_src in
+      let eval_of reply =
+        match Json.of_string reply with
+        | Ok j -> field "eval" j
+        | Error e -> Alcotest.fail e
+      in
+      let cold = reply_line t line in
+      let key =
+        match Json.of_string cold with
+        | Ok j -> (
+          match Json.member "key" j with
+          | Some (Json.Str k) -> k
+          | _ -> Alcotest.fail "no key")
+        | Error e -> Alcotest.fail e
+      in
+      let payload =
+        match Cache.find cache key with
+        | Some p -> p
+        | None -> Alcotest.fail "no entry"
+      in
+      let replaced =
+        Json.Obj [ ("replaced", Json.List [ Json.Int 1; Json.Float 0.25 ]) ]
+      in
+      Cache.store cache key (Json.set ("eval", replaced) payload);
+      let after = reply_line t line in
+      Alcotest.(check string) "the replaced tree's eval"
+        (Json.to_string ~minify:true replaced)
+        (eval_of after);
+      Alcotest.(check string) "as without the memo" (unmemoized cache after)
+        after;
+      (* a second cache over the same directory reads the replaced entry
+         back from disk: a new tree, the same text *)
+      let t' = Server.create ~cache:(Cache.create ~dir ()) () in
+      Alcotest.(check string) "read back from disk" (eval_of after)
+        (eval_of (reply_line t' line));
+      Alcotest.(check bool) "the cold reply's eval differs" false
+        (String.equal (eval_of cold) (eval_of after)))
+
+(* warm replies share one text; a text over the memo's cap is rendered
+   on every reply and never kept *)
+let test_server_eval_memo_bounds () =
+  with_tmpdir (fun dir ->
+      let cache = Cache.create ~dir () in
+      let t = Server.create ~cache () in
+      let req src =
+        Json.Obj [ ("op", Json.Str "compile"); ("source", Json.Str src) ]
+      in
+      let raw_eval src =
+        match Server.handle t (req src) with
+        | `Reply r -> (
+          match Json.member "eval" r with
+          | Some (Json.Raw text) -> text
+          | _ -> Alcotest.fail "the reply's eval is not a Raw text")
+        | `Shutdown _ -> Alcotest.fail "shutdown"
+      in
+      let cold = raw_eval tiny_src in
+      let warm = raw_eval tiny_src and again = raw_eval tiny_src in
+      Alcotest.(check bool) "the warm replies share the cold reply's text" true
+        (cold == warm && warm == again);
+      let key = Cached.key_of ~config:Config.best loop_src in
+      let big =
+        Json.List
+          (List.init
+             ((Spt_service.Slot_memo.reply_max_text / 8) + 1)
+             (fun i -> Json.Int (1_000_000 + i)))
+      in
+      Cache.store cache key
+        (Json.Obj
+           [
+             ("schema", Json.Str Cached.payload_schema);
+             ("eval", big);
+             ("report_text", Json.Str "");
+           ]);
+      let first = raw_eval loop_src and second = raw_eval loop_src in
+      Alcotest.(check bool) "over the cap" true
+        (String.length first > Spt_service.Slot_memo.reply_max_text);
+      Alcotest.(check string) "rendered right" (Json.to_string ~minify:true big)
+        first;
+      Alcotest.(check bool) "rendered each time" false (first == second))
+
+(* four domains replying through one memo, over a few programs: every
+   reply is the rendering without the memo *)
+let test_server_eval_memo_domains () =
+  with_tmpdir (fun dir ->
+      let cache = Cache.create ~dir () in
+      let t = Server.create ~cache () in
+      let lines =
+        Array.of_list
+          (List.mapi
+             (fun id src -> compile_req ~id src)
+             [ tiny_src; loop_src; array_param_src; heavy_src 557 ])
+      in
+      let expected =
+        Array.map (fun l -> unmemoized cache (reply_line t l)) lines
+      in
+      let worker d =
+        Domain.spawn (fun () ->
+            let wrong = ref 0 in
+            for k = 0 to 199 do
+              let i = (d + k) mod Array.length lines in
+              let r = reply_line t lines.(i) in
+              (* only elapsed_s may differ: compare the evals *)
+              match (Json.of_string r, Json.of_string expected.(i)) with
+              | Ok a, Ok b ->
+                if
+                  not
+                    (String.equal (field "eval" a) (field "eval" b)
+                    && String.equal r (unmemoized cache r))
+                then incr wrong
+              | _ -> incr wrong
+            done;
+            !wrong)
+      in
+      let wrong = List.map Domain.join (List.init 4 worker) in
+      Alcotest.(check (list int)) "no domain saw a wrong reply" [ 0; 0; 0; 0 ]
+        wrong)
+
+(* an untrusted line of 8 MB of brackets gets a bad JSON reply at once,
+   and the loop keeps serving *)
+let test_server_deep_nesting () =
+  with_tmpdir (fun dir ->
+      let server = Server.create ~cache:(Cache.create ~dir ()) ~jobs:2 () in
+      let t0 = Unix.gettimeofday () in
+      let replies =
+        serve_session server
+          [ String.make (8 * 1024 * 1024) '['; {|{"op":"stats","id":1}|} ]
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      match replies with
+      | [ bad; stats ] ->
+        Alcotest.(check (option bool)) "an error reply" (Some false)
+          (bool_member "ok" bad);
+        Alcotest.(check bool) "it says bad JSON" true
+          (match Json.member "error" bad with
+          | Some (Json.Str e) -> String.starts_with ~prefix:"bad JSON: " e
+          | _ -> false);
+        Alcotest.(check (option bool)) "the next request is served" (Some true)
+          (bool_member "ok" stats);
+        Alcotest.(check bool)
+          (Printf.sprintf "answered in well under a second (%.3f s)" dt)
+          true (dt < 1.0)
+      | _ -> Alcotest.fail "expected two replies")
+
 let test_server_overloaded () =
   with_tmpdir (fun dir ->
       let server =
@@ -1284,6 +1512,15 @@ let suite =
     Alcotest.test_case "concurrent serve over pipes" `Quick
       test_server_serve_concurrent_pipes;
     Alcotest.test_case "single-flight coalescing" `Quick test_server_coalescing;
+    Alcotest.test_case "eval memo: replies as without it" `Quick
+      test_server_eval_memo_replies;
+    Alcotest.test_case "eval memo: another tree is rendered fresh" `Quick
+      test_server_eval_memo_fresh_tree;
+    Alcotest.test_case "eval memo: bounds" `Quick test_server_eval_memo_bounds;
+    Alcotest.test_case "eval memo: four domains agree" `Quick
+      test_server_eval_memo_domains;
+    Alcotest.test_case "deep nesting is a prompt error" `Quick
+      test_server_deep_nesting;
     Alcotest.test_case "backpressure sheds load" `Quick test_server_overloaded;
     Alcotest.test_case "request timeout" `Quick test_server_timeout;
   ]
