@@ -1,12 +1,12 @@
 (** End-to-end contract checks: the observability artifacts, the quick
     bench summary, the artifact cache, the profile-guided feedback loop,
-    the fuzzer, overhead attribution, the profile database and K-deep
-    pipelining.  What [sptc] prints and its exit code are checked on an
-    [sptc] subprocess; everything else on the JSON written, each key
-    looked up at its real path.  Every check prints one line with the
-    numbers it compared; the runner keeps going after a failure and
-    exits 1 if any check failed.  Nothing is written outside a
-    temporary directory, caches included.
+    the fuzzer, overhead attribution, the profile database, K-deep
+    pipelining and the concurrent compile server.  What [sptc] prints
+    and its exit code are checked on an [sptc] subprocess; everything
+    else on the JSON written, each key looked up at its real path.
+    Every check prints one line with the numbers it compared; the
+    runner keeps going after a failure and exits 1 if any check failed.
+    Nothing is written outside a temporary directory, caches included.
 
     Run with: dune build @smoke (not part of @runtest: the timing checks
     depend on the host).  Some groups only, after dune build
@@ -46,10 +46,12 @@ let str_at path j = match get path j with Some (Json.Str s) -> Some s | _ -> Non
 let list_at path j = match get path j with Some (Json.List l) -> l | _ -> []
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let load path =
-  match Json.of_string (read_file path) with
+let load_string ?(what = "reply") text =
+  match Json.of_string text with
   | Ok j -> j
-  | Error e -> failwith (Printf.sprintf "%s: %s" path e)
+  | Error e -> failwith (Printf.sprintf "%s: %s" what e)
+
+let load path = load_string ~what:path (read_file path)
 
 let check_schema name j schema =
   let s = str_at [ "schema" ] j in
@@ -414,10 +416,65 @@ let depth () =
   check_top "top renders the accumulator" summary "accumulator"
 
 (* ------------------------------------------------------------------ *)
+(* serve: sptc serve --jobs 2 as a process, one request at a time — a
+   cold compile, the same compile again, stats and shutdown *)
+
+let serve () =
+  let compile id =
+    Json.to_string ~minify:true
+      (Json.Obj
+         [ ("id", Json.Int id); ("op", Json.Str "compile");
+           ("source", Json.Str (read_file (example "histogram.c"))) ])
+  in
+  let requests = [ compile 1; compile 2; {|{"id":3,"op":"stats"}|}; {|{"id":4,"op":"shutdown"}|} ] in
+  (* a server that died makes the next write an error, not a signal *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let from_srv, to_srv =
+    Unix.open_process_args !sptc_exe
+      [| !sptc_exe; "serve"; "--jobs"; "2"; "--cache-dir"; in_tmp "serve-cache"; "--log-level"; "warn" |]
+  in
+  (* each request waits for the reply before it, so the second compile
+     finds the first one's entry instead of coalescing onto it *)
+  let replies =
+    List.filter_map
+      (fun line ->
+        output_string to_srv line;
+        output_char to_srv '\n';
+        flush to_srv;
+        Option.map load_string (In_channel.input_line from_srv))
+      requests
+  in
+  let after = In_channel.input_all from_srv in
+  let status = Unix.close_process (from_srv, to_srv) in
+  check "exits 0" (status = Unix.WEXITED 0)
+    (match status with
+    | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n -> Printf.sprintf "signal %d" n);
+  let ids = List.map (fun r -> Option.value ~default:(-1.) (num [ "id" ] r)) replies in
+  check "one reply per request, the shutdown ack last"
+    (ids = [ 1.; 2.; 3.; 4. ] && after = ""
+    && (match List.rev replies with r :: _ -> str_at [ "op" ] r = Some "shutdown" | [] -> false))
+    (Printf.sprintf "reply ids [%s], %d byte(s) after the last"
+       (String.concat "; " (List.map (Printf.sprintf "%g") ids))
+       (String.length after));
+  match replies with
+  | [ cold; warm; stats; _ ] ->
+    let hit r = match get [ "cache_hit" ] r with Some (Json.Bool b) -> Some b | _ -> None in
+    check "the second compile is a cache hit"
+      (hit cold = Some false && hit warm = Some true)
+      (Printf.sprintf "cache_hit %s then %s"
+         (Option.fold ~none:"missing" ~some:string_of_bool (hit cold))
+         (Option.fold ~none:"missing" ~some:string_of_bool (hit warm)));
+    check_num "minor collections counted" stats [ "gc"; "minor_collections" ] (fun n -> n > 0.);
+    check_num "the workers' nursery" stats [ "gc"; "worker_minor_heap_words" ]
+      (( = ) (float_of_int Spt_service.Worker_nursery.words))
+  | _ -> check "four replies" false (Printf.sprintf "%d reply line(s)" (List.length replies))
+
+(* ------------------------------------------------------------------ *)
 
 let groups =
   [ ("obs", obs); ("cache", cache); ("feedback", feedback); ("fuzz", fuzz); ("attrib", attrib);
-    ("profdb", profdb); ("depth", depth); ("bench", bench) ]
+    ("profdb", profdb); ("depth", depth); ("serve", serve); ("bench", bench) ]
 
 let () =
   let selected = ref [] in

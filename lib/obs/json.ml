@@ -119,6 +119,37 @@ let to_string ?(minify = false) (j : t) =
   write buf ~minify 0 j;
   Buffer.contents buf
 
+(* Trees render alike exactly when their shapes, strings and scalar
+   texts agree; only scalars can render alike across constructors (a
+   non-finite float as null, an integral float of 1e15 or more as an
+   integer's digits), so those compare by their short texts *)
+let rec equal_minified a b =
+  match (a, b) with
+  | Str x, Str y | Raw x, Raw y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | List xs, List ys -> List.equal equal_minified xs ys
+  | Obj xs, Obj ys ->
+    List.equal
+      (fun (k, v) (k', v') -> String.equal k k' && equal_minified v v')
+      xs ys
+  | (Null | Int _ | Float _), (Null | Int _ | Float _) ->
+    String.equal (to_string a) (to_string b)
+  | _ -> false
+
+(* strings and shape decide; every scalar adds the same constant, since
+   scalars of different constructors may be equal *)
+let hash_minified j =
+  let mix h x = ((h * 31) + x) land max_int in
+  let rec go h = function
+    | Str s | Raw s -> mix h (Hashtbl.hash s)
+    | Null | Bool _ | Int _ | Float _ -> mix h 1
+    | List items -> List.fold_left go (mix h 2) items
+    | Obj fields ->
+      List.fold_left (fun h (k, v) -> go (mix h (Hashtbl.hash k)) v) (mix h 3) fields
+  in
+  go 0 j
+
 let to_file path j =
   let oc = open_out path in
   Fun.protect

@@ -25,6 +25,19 @@ type t =
     [null], keeping the output always loadable. *)
 val to_string : ?minify:bool -> t -> string
 
+(** [equal_minified a b] is [to_string ~minify:true a = to_string
+    ~minify:true b], decided without rendering the trees (only a pair
+    of numbers or nulls that may render alike is compared by its few
+    bytes of text) — how the compile server tells two requests are the
+    same work.  Exact for trees without [Raw] ({!of_string} never
+    produces one); a [Raw] leaf equals only a [Raw] of the same
+    text. *)
+val equal_minified : t -> t -> bool
+
+(** A hash that agrees with {!equal_minified}: equal trees hash alike.
+    Every string is hashed whole; scalars add a constant. *)
+val hash_minified : t -> int
+
 (** How many arrays and objects {!of_string} accepts nested inside each
     other (512).  The deepest document the system writes nests 9. *)
 val max_depth : int

@@ -10,7 +10,11 @@ type t
 (** [create ~jobs ()] spawns [max 1 jobs] worker domains.  [on_start]
     runs once in each worker domain before it takes jobs (exceptions
     swallowed) — the runtime uses it to register timeline lanes so
-    even never-scheduled workers show up as idle in attribution. *)
+    even never-scheduled workers show up as idle in attribution, and
+    the compile server and batch driver to give each worker a nursery
+    that holds a cold compile ([Spt_service.Worker_nursery]; in OCaml
+    5.1 a domain's nursery is its own, so only a hook running in the
+    worker can set it).  Without a hook the workers keep the default. *)
 val create : ?on_start:(unit -> unit) -> jobs:int -> unit -> t
 
 (** Number of worker domains. *)

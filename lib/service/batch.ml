@@ -125,7 +125,7 @@ let run_clustered ?jobs ?(timeout_s = 600.0) items =
   if n = 0 then
     finish ~jobs ~clusters:0 ~degraded:false ~max_queue_depth:0 ~t0 [||]
   else
-    match Pool.create ~jobs () with
+    match Pool.create ~on_start:Worker_nursery.apply ~jobs () with
     | exception _ ->
       (* graceful degradation: no pool, run in the calling domain *)
       Spt_obs.Metrics.inc m_degraded;

@@ -9,7 +9,10 @@
     to process exit instead of joined).  If the pool cannot be created
     at all — domain spawning is the one thing here that can fail — the
     scheduler degrades to running every job sequentially in the calling
-    domain, and says so in [stats.degraded].
+    domain, and says so in [stats.degraded].  Each worker domain sets
+    its nursery to {!Worker_nursery.words} when it starts (a cold
+    [sptc batch -j 2] over the examples and the test corpus measured
+    1.76 -> 1.36 s with it).
 
     {b Dependency-aware clustering.}  {!run_clustered} takes each job
     with a list of digests of its sub-structure (canonical per-function

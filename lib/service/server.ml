@@ -23,6 +23,28 @@ type pending = {
   mutable p_done : bool;  (** a reply for this work has been emitted *)
 }
 
+(* single-flight key: the request minus its "id" — two requests that
+   differ only in correlation id are the same work.  Keys compare as
+   trees, equal exactly when their minified renderings are, and are
+   hashed once, so the reader never renders a request again *)
+type work = { w_hash : int; w_req : Json.t }
+
+module Work = Hashtbl.Make (struct
+  type t = work
+
+  let equal a b = a.w_hash = b.w_hash && Json.equal_minified a.w_req b.w_req
+  let hash w = w.w_hash
+end)
+
+let work_of req =
+  let req =
+    match req with
+    | Json.Obj fields ->
+      Json.Obj (List.filter (fun (k, _) -> not (String.equal k "id")) fields)
+    | j -> j
+  in
+  { w_hash = Json.hash_minified req; w_req = req }
+
 type t = {
   cache : Artifact_cache.t;
   profdb : Spt_profdb.Profdb.t;
@@ -45,8 +67,11 @@ type t = {
      while [mu] is — both are leaves *)
   smu : Mutex.t;
   scond : Condition.t;
-  pending : (string, pending) Hashtbl.t;
+  pending : pending Work.t;
   mutable inflight : int;
+  worker_nursery : int Atomic.t;
+      (* the nursery in words a compile worker read back after its
+         start hook, 0 until one has started *)
   evals : (string * Json.t, string) Slot_memo.t;
       (* the minified eval text of compile replies, by artifact key and
          eval tree (see [eval_text]) *)
@@ -76,8 +101,9 @@ let create ?cache ?profdb ?(jobs = 1) ?(queue_max = 64) ?timeout_s () =
     latency = Spt_obs.Metrics.Hist.create ();
     smu = Mutex.create ();
     scond = Condition.create ();
-    pending = Hashtbl.create 16;
+    pending = Work.create 16;
     inflight = 0;
+    worker_nursery = Atomic.make 0;
     evals = Slot_memo.create Slot_memo.reply_slots;
   }
 
@@ -198,6 +224,26 @@ let compile_reply t ~op ~name ?depth (o : Cached.outcome) =
     | Some g -> [ ("profdb_gen", Json.Int g) ]
     | None -> [])
 
+(* the pool's start hook, on each worker domain *)
+let start_worker t () =
+  Worker_nursery.apply ();
+  Atomic.set t.worker_nursery (Gc.get ()).Gc.minor_heap_size
+
+(* process-wide collection counts, and the compile workers' nursery
+   (null until one has started) *)
+let gc_json t =
+  let s = Gc.quick_stat () in
+  Json.Obj
+    [
+      ("minor_collections", Json.Int s.Gc.minor_collections);
+      ("major_collections", Json.Int s.Gc.major_collections);
+      ("promoted_words", Json.Int (int_of_float s.Gc.promoted_words));
+      ("heap_words", Json.Int s.Gc.heap_words);
+      ("top_heap_words", Json.Int s.Gc.top_heap_words);
+      ( "worker_minor_heap_words",
+        match Atomic.get t.worker_nursery with 0 -> Json.Null | n -> Json.Int n );
+    ]
+
 let stats_reply t =
   Mutex.lock t.mu;
   let counts =
@@ -230,6 +276,7 @@ let stats_reply t =
               ("hits", Json.Int m.Fingerprint.hits);
               ("misses", Json.Int m.Fingerprint.misses);
             ] );
+        ("gc", gc_json t);
         ("latency_s", latency);
       ])
 
@@ -400,15 +447,6 @@ let serve_sequential t ic oc =
   in
   loop ()
 
-(* single-flight key: the request minus its "id" — two requests that
-   differ only in correlation id are the same work *)
-let coalesce_key req =
-  Json.to_string ~minify:true
-    (match req with
-    | Json.Obj fields ->
-      Json.Obj (List.filter (fun (k, _) -> not (String.equal k "id")) fields)
-    | j -> j)
-
 let async_op req =
   match str_member "op" req with
   | Some ("compile" | "workload") -> true
@@ -448,7 +486,7 @@ let serve_concurrent t pool ic oc =
                let now = Unix.gettimeofday () in
                Mutex.lock t.smu;
                let expired =
-                 Hashtbl.fold
+                 Work.fold
                    (fun key p acc ->
                      match p.p_deadline with
                      | Some d when now > d && not p.p_done -> (key, p) :: acc
@@ -462,7 +500,7 @@ let serve_concurrent t pool ic oc =
                List.iter
                  (fun (key, p) ->
                    p.p_done <- true;
-                   Hashtbl.remove t.pending key)
+                   Work.remove t.pending key)
                  expired;
                Mutex.unlock t.smu;
                List.iter
@@ -500,11 +538,11 @@ let serve_concurrent t pool ic oc =
   in
   let dispatch req =
     count_request t;
-    let key = coalesce_key req in
+    let key = work_of req in
     let id = Json.member "id" req in
     Mutex.lock t.smu;
     let action =
-      match Hashtbl.find_opt t.pending key with
+      match Work.find_opt t.pending key with
       | Some p ->
         (* identical work already in flight: attach, reuse its reply *)
         p.p_followers <- id :: p.p_followers;
@@ -521,7 +559,7 @@ let serve_concurrent t pool ic oc =
               p_done = false;
             }
           in
-          Hashtbl.replace t.pending key p;
+          Work.replace t.pending key p;
           t.inflight <- t.inflight + 1;
           `Run p
         end
@@ -567,7 +605,7 @@ let serve_concurrent t pool ic oc =
                  [drain] (and the shutdown ack behind it) cannot
                  overtake them *)
               p.p_done <- true;
-              Hashtbl.remove t.pending key;
+              Work.remove t.pending key;
               Some (p.p_leader, List.rev p.p_followers)
             end
           in
@@ -639,7 +677,7 @@ let serve t ic oc =
     t.jobs;
   if t.jobs <= 1 then serve_sequential t ic oc
   else
-    match Pool.create ~jobs:t.jobs () with
+    match Pool.create ~on_start:(start_worker t) ~jobs:t.jobs () with
     | pool -> serve_concurrent t pool ic oc
     | exception _ ->
       (* cannot spawn domains here: degrade to the sequential loop

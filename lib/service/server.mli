@@ -28,8 +28,13 @@
       counts, concurrency settings, in-flight depth, cache
       hit/miss/rate, the profile-database census ([spt-profdb-v1]),
       the process-wide hits and misses of the source-digest memo
-      ([fingerprint], {!Fingerprint.memo_stats}) and the
-      request-latency histogram.
+      ([fingerprint], {!Fingerprint.memo_stats}), the process-wide
+      garbage-collector counts from [Gc.quick_stat] with the compile
+      workers' nursery ([gc]: [minor_collections],
+      [major_collections], [promoted_words], [heap_words],
+      [top_heap_words], and [worker_minor_heap_words], the nursery a
+      worker of {!serve}'s pool read back after its start hook, null
+      until one has started) and the request-latency histogram.
     - [{"op":"shutdown"}] — drain in-flight work, then acknowledge
       (the ack is the final reply) and end the loop.
 
@@ -39,8 +44,9 @@
 
     {b Concurrency.}  With [jobs > 1], {!serve} dispatches compile and
     workload requests onto a {!Spt_runtime.Pool} of worker domains and
-    keeps reading; other ops are answered inline.  Three mechanisms
-    bound the work:
+    keeps reading; other ops are answered inline.  Each worker domain
+    sets its nursery to {!Worker_nursery.words} when it starts.  Three
+    mechanisms bound the work:
 
     - {e backpressure} — past [queue_max] requests in flight, new work
       is refused immediately with an [{"ok":false,"code":"overloaded"}]
@@ -50,7 +56,8 @@
       exceed it (the abandoned computation still completes on its
       worker but its reply is suppressed — exactly one reply per id);
     - {e single-flight coalescing} — a request identical to one already
-      in flight (same JSON minus ["id"]) attaches to it and receives a
+      in flight (the same minified JSON minus ["id"], compared as trees
+      by {!Spt_obs.Json.equal_minified}) attaches to it and receives a
       copy of its reply marked ["coalesced":true], so a thundering herd
       of identical compiles does the work once.
 

@@ -224,6 +224,64 @@ let test_json_raw () =
     "{\n  \"r\": {\"a\":[1,0.5]}\n}"
     (Json.to_string (Json.Obj [ ("r", Json.Raw text) ]))
 
+(* [equal_minified] against the renderings it stands for, and
+   [hash_minified] agreeing with it, over pairs of trees that are
+   mostly twins: the scalars come in classes of equal texts (null and
+   the non-finite floats; an integer and the integral float with its
+   digits) beside near misses (0 and ±0.0, 1 and 1.0), and now and
+   then a key, a scalar, a list's tail or a whole subtree differs *)
+let test_json_equal_minified () =
+  let rng = Random.State.make [| 0x15013 |] in
+  let classes =
+    Json.
+      [|
+        [| Null; Float infinity; Float neg_infinity; Float nan |];
+        [| Int 1234567890123456; Float 1234567890123456.0 |];
+        [| Int 0 |]; [| Float 0.0 |]; [| Float (-0.0) |]; [| Int 1 |];
+        [| Float 1.0 |]; [| Float 1e15 |]; [| Bool true |]; [| Str "null" |];
+        [| Str "" |]; [| Str "a\"b" |];
+      |]
+  in
+  let keys = [| ""; "a"; "id" |] in
+  let odd () = Random.State.int rng 8 = 0 in
+  let rec pair depth =
+    if Random.State.int rng 16 = 0 then (fst (pair depth), fst (pair depth))
+    else
+      match Random.State.int rng (if depth = 0 then 1 else 3) with
+      | 0 ->
+        let c = pick rng classes in
+        (pick rng c, pick rng (if odd () then pick rng classes else c))
+      | 1 ->
+        let items = List.init (Random.State.int rng 3) (fun _ -> pair (depth - 1)) in
+        let b = List.map snd items in
+        ( Json.List (List.map fst items),
+          Json.List (if b <> [] && odd () then List.tl b else b) )
+      | _ ->
+        let fields =
+          List.init (Random.State.int rng 3) (fun _ ->
+              let k = pick rng keys and a, b = pair (depth - 1) in
+              ((k, a), ((if odd () then pick rng keys else k), b)))
+        in
+        (Json.Obj (List.map fst fields), Json.Obj (List.map snd fields))
+  in
+  let equal = ref 0 and n = 20_000 in
+  for _ = 1 to n do
+    let a, b = pair 3 in
+    let text j = Json.to_string ~minify:true j in
+    let same = String.equal (text a) (text b) in
+    if Json.equal_minified a b <> same then
+      Alcotest.failf "equal_minified %s %s = %b" (text a) (text b) (not same);
+    if same then begin
+      incr equal;
+      if Json.hash_minified a <> Json.hash_minified b then
+        Alcotest.failf "%s hashes apart from an equal tree" (text a)
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes drawn (%d of %d pairs equal)" !equal n)
+    true
+    (!equal > n / 4 && !equal < 3 * n / 4)
+
 let test_json_depth_bound () =
   let nest k = String.make k '[' ^ String.make k ']' in
   Alcotest.(check bool)
@@ -663,6 +721,8 @@ let suite =
     Alcotest.test_case "json reader = reference" `Quick
       test_json_reader_matches_reference;
     Alcotest.test_case "json raw leaf" `Quick test_json_raw;
+    Alcotest.test_case "json equal_minified = equal texts" `Quick
+      test_json_equal_minified;
     Alcotest.test_case "json nesting bound" `Quick test_json_depth_bound;
     Alcotest.test_case "counter accumulation" `Quick test_counter_accumulation;
     Alcotest.test_case "histogram accumulation" `Quick test_histogram_accumulation;

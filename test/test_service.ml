@@ -1046,9 +1046,10 @@ let compile_req ?(extra = []) ~id src =
         ]
        @ extra))
 
-(* write every line, close (EOF → drain), read the raw reply lines until
-   the server closes its end *)
-let serve_lines server lines =
+(* [Server.serve] on a domain of its own over two pipes: [f to_srv
+   from_srv] talks to it, then the request pipe closes (EOF drains the
+   server) and the server's domain is joined *)
+let with_serve server f =
   let r_req, w_req = Unix.pipe () and r_rep, w_rep = Unix.pipe () in
   let srv_ic = Unix.in_channel_of_descr r_req
   and srv_oc = Unix.out_channel_of_descr w_rep in
@@ -1059,22 +1060,42 @@ let serve_lines server lines =
   in
   let to_srv = Unix.out_channel_of_descr w_req
   and from_srv = Unix.in_channel_of_descr r_rep in
-  List.iter
-    (fun l ->
-      output_string to_srv l;
-      output_char to_srv '\n')
-    lines;
-  close_out to_srv;
-  let rec read acc =
-    match input_line from_srv with
-    | l -> read (l :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let replies = read [] in
-  Domain.join srv;
-  close_in_noerr from_srv;
-  close_in_noerr srv_ic;
-  replies
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr to_srv;
+      Domain.join srv;
+      close_in_noerr from_srv;
+      close_in_noerr srv_ic)
+    (fun () -> f to_srv from_srv)
+
+(* write every line, close (EOF → drain), read the raw reply lines until
+   the server closes its end *)
+let serve_lines server lines =
+  with_serve server (fun to_srv from_srv ->
+      List.iter
+        (fun l ->
+          output_string to_srv l;
+          output_char to_srv '\n')
+        lines;
+      close_out to_srv;
+      let rec read acc =
+        match input_line from_srv with
+        | l -> read (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      read [])
+
+(* one request at a time: [f ask] sends through [ask fields] and gets
+   the reply to that request back, parsed *)
+let serve_closed_loop server f =
+  with_serve server (fun to_srv from_srv ->
+      f (fun fields ->
+          output_string to_srv (Json.to_string ~minify:true (Json.Obj fields));
+          output_char to_srv '\n';
+          flush to_srv;
+          match Json.of_string (input_line from_srv) with
+          | Ok j -> j
+          | Error e -> Alcotest.fail ("reply is not JSON: " ^ e)))
 
 let serve_session server lines =
   List.map
@@ -1181,6 +1202,128 @@ let test_server_coalescing () =
         (coalesced >= 1);
       Alcotest.(check bool) "the leader itself is never coalesced" true
         (coalesced < 6))
+
+(* requests that differ in any field but "id" are other work: a name
+   or a depth of their own keeps them apart, while a copy that differs
+   only in its id still attaches *)
+let test_server_coalescing_other_fields () =
+  with_tmpdir (fun dir ->
+      let server = Server.create ~cache:(Cache.create ~dir ()) ~jobs:2 () in
+      let req id fields =
+        Json.to_string ~minify:true
+          (Json.Obj
+             ([ ("op", Json.Str "compile"); ("source", Json.Str (heavy_src 557)) ]
+             @ fields
+             @ [ ("id", Json.Int id) ]))
+      in
+      let a = ("name", Json.Str "a.c") in
+      let replies =
+        serve_session server
+          [
+            req 0 [ a ];
+            req 1 [ ("name", Json.Str "b.c") ];
+            req 2 [ a; ("depth", Json.Int 2) ];
+            req 3 [ a ];
+          ]
+      in
+      let reply id =
+        match List.find_opt (fun r -> int_member "id" r = Some id) replies with
+        | Some r -> r
+        | None -> Alcotest.failf "no reply to request %d" id
+      in
+      List.iter
+        (fun id ->
+          Alcotest.(check (option bool))
+            (Printf.sprintf "request %d ok" id)
+            (Some true)
+            (bool_member "ok" (reply id));
+          Alcotest.(check bool)
+            (Printf.sprintf "request %d is not coalesced" id)
+            true
+            (bool_member "coalesced" (reply id) <> Some true))
+        [ 0; 1; 2 ];
+      Alcotest.(check string) "request 1 keeps its name" "\"b.c\""
+        (field "name" (reply 1));
+      Alcotest.(check (option int)) "request 2 keeps its depth" (Some 2)
+        (int_member "depth" (reply 2));
+      Alcotest.(check (option bool)) "the copy of request 0 attaches to it"
+        (Some true)
+        (bool_member "coalesced" (reply 3)))
+
+(* the stats reply's gc section: process-wide counts, which a cold
+   compile cannot make fall, and no worker nursery without a pool *)
+let test_server_gc_section () =
+  with_tmpdir (fun dir ->
+      let t = Server.create ~cache:(Cache.create ~dir ()) () in
+      let gc () =
+        match Json.member "gc" (send t [ ("op", Json.Str "stats") ]) with
+        | Some g -> g
+        | None -> Alcotest.fail "stats reply lacks a gc section"
+      in
+      let count g k =
+        match int_member k g with
+        | Some n -> n
+        | None -> Alcotest.fail (k ^ " missing from the gc section")
+      in
+      let before = gc () in
+      let cold =
+        send t [ ("op", Json.Str "compile"); ("source", Json.Str (heavy_src 558)) ]
+      in
+      Alcotest.(check (option bool)) "the compile is cold" (Some false)
+        (bool_member "cache_hit" cold);
+      let after = gc () in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " does not fall") true
+            (count after k >= count before k))
+        [ "minor_collections"; "major_collections" ];
+      List.iter
+        (fun k -> ignore (count after k))
+        [ "promoted_words"; "heap_words"; "top_heap_words" ];
+      Alcotest.(check bool) "no pool, no worker nursery" true
+        (Json.member "worker_minor_heap_words" after = Some Json.Null))
+
+(* The nursery policy: the service's compile pools (serve's and
+   batch's) run their jobs with Worker_nursery.words; the calling
+   domain and a pool without that start hook, as the speculative
+   runtime's, keep the default (262,144 words) *)
+let test_worker_nursery () =
+  let module Nursery = Spt_service.Worker_nursery in
+  let module Pool = Spt_runtime.Pool in
+  let nursery () = (Gc.get ()).Gc.minor_heap_size in
+  let default = Domain.join (Domain.spawn nursery) and mine = nursery () in
+  Alcotest.(check bool) "the policy is not the default" true
+    (Nursery.words <> default);
+  with_tmpdir (fun dir ->
+      let server = Server.create ~cache:(Cache.create ~dir ()) ~jobs:2 () in
+      serve_closed_loop server (fun ask ->
+          (* a reply means a worker has run its start hook *)
+          ignore
+            (ask [ ("op", Json.Str "compile"); ("source", Json.Str tiny_src) ]);
+          Alcotest.(check (option int)) "a serve worker's nursery"
+            (Some Nursery.words)
+            (Option.bind
+               (Json.member "gc" (ask [ ("op", Json.Str "stats") ]))
+               (int_member "worker_minor_heap_words"))));
+  let outcomes, _ = Batch.run ~jobs:2 [ nursery; nursery ] in
+  Array.iter
+    (function
+      | Batch.Done n -> Alcotest.(check int) "a batch job's nursery" Nursery.words n
+      | _ -> Alcotest.fail "a batch job did not finish")
+    outcomes;
+  let pool = Pool.create ~jobs:1 () and seen = Atomic.make 0 in
+  Pool.submit pool (fun () -> Atomic.set seen (nursery ()));
+  Pool.shutdown pool;
+  Alcotest.(check int) "a job on a pool without the hook" default
+    (Atomic.get seen);
+  let pr =
+    Pipeline.run_parallel
+      ~runtime_config:(Spt_runtime.Runtime.default_config ~jobs:2 ())
+      (Fixture.read "examples/src/scan.c")
+  in
+  Alcotest.(check bool) "the parallel run started a worker" true
+    (pr.Pipeline.pr_runtime.Spt_runtime.Runtime.workers > 0);
+  Alcotest.(check int) "the calling domain keeps its nursery" mine (nursery ())
 
 (* ------------------------------------------------------------------ *)
 (* The eval memo: a compile reply splices the eval text rendered for
@@ -1512,6 +1655,10 @@ let suite =
     Alcotest.test_case "concurrent serve over pipes" `Quick
       test_server_serve_concurrent_pipes;
     Alcotest.test_case "single-flight coalescing" `Quick test_server_coalescing;
+    Alcotest.test_case "single-flight: other fields are other work" `Quick
+      test_server_coalescing_other_fields;
+    Alcotest.test_case "stats gc section" `Quick test_server_gc_section;
+    Alcotest.test_case "nursery: compile pools only" `Quick test_worker_nursery;
     Alcotest.test_case "eval memo: replies as without it" `Quick
       test_server_eval_memo_replies;
     Alcotest.test_case "eval memo: another tree is rendered fresh" `Quick
